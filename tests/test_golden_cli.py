@@ -1,0 +1,51 @@
+"""Golden CLI reports: stdout bytes and exit codes pinned against captures.
+
+Each case in ``golden/cases.json`` names an argv and the exit code it must
+return; ``golden/<name>.out`` holds the exact stdout.  To recapture after
+an intended change of the report format, run
+
+    PYTHONPATH=src python tests/test_golden_cli.py --update
+
+and review the diff of ``tests/golden/``.
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from hakensum.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+def _argv(case):
+    # Scenario paths in the manifest are relative to the golden directory.
+    return [str(GOLDEN / a) if a.endswith(".json") else a
+            for a in case["argv"]]
+
+
+def _run(case):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(_argv(case))
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_report_matches_capture(case):
+    code, out = _run(case)
+    assert code == case["exit"]
+    assert out == (GOLDEN / (case["name"] + ".out")).read_text()
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--update"]:
+    for case in CASES:
+        code, out = _run(case)
+        case["exit"] = code
+        (GOLDEN / (case["name"] + ".out")).write_text(out)
+    (GOLDEN / "cases.json").write_text(json.dumps(CASES, indent=2) + "\n")
