@@ -1,6 +1,6 @@
 """Combinatorial calculus for iterated cut-and-paste sums of surfaces."""
 
-from .disk import DiskPattern, TraceReport, annuli, stack_word_from_arcs, trace
+from .disk import DiskPattern, TraceReport, stack_word_from_arcs, trace
 from .errors import (CertificateError, DisconnectionError, DomainError,
                      GuardViolationError, HakenSumError,
                      InconsistentLabelingError, InsufficientCopiesError,
@@ -12,8 +12,7 @@ from .reductions import (CanState, Curve, IntersectionInventory, Pack,
                          reduce_parities, remove_trivial, torus_periodicity,
                          tuna_can_run, tuna_can_step)
 from .scenarios import (AnnulusGluing, GluedPiece, GluingGraph,
-                        HandlebodyProof, ProofFailure, Scenario,
-                        TwistVerdict, VerificationReport,
+                        HandlebodyProof, ProofFailure, Report, TwistVerdict,
                         casson_gordon_scenario, casson_twist_rule,
                         doubled_handlebody_scenario, gluing_graph_from_dict,
                         handlebody_certificate)

@@ -17,6 +17,7 @@ import sys
 from . import schema
 from .errors import HakenSumError
 from .reductions import reduce_parities, remove_trivial, torus_periodicity
+from .scenarios import Report
 from .shifts import compute_thresholds, essential_certificate
 from .surfaces import conjectured_period, resolve
 from .disk import DiskPattern, trace
@@ -47,47 +48,30 @@ class Mismatch(Exception):
     """Raised under --strict at the first failed expectation."""
 
 
-class ReportBuilder:
-    def __init__(self, command, strict):
-        self.report = {"command": command, "checks": []}
-        self.strict = strict
-        self.failed = False
+def _check(report, strict, name, expected, actual, source):
+    if not report.check(name, expected, actual, source).passed and strict:
+        raise Mismatch(name)
 
-    def set(self, key, value):
-        self.report[key] = value
 
-    def check(self, name, expected, actual, source):
-        ok = expected == actual
-        self.report["checks"].append({
-            "name": name, "expected": expected, "actual": actual,
-            "passed": ok, "source": source,
-        })
-        if not ok:
-            self.failed = True
-            if self.strict:
-                raise Mismatch(name)
-
-    def finish(self, fmt, out=None):
-        out = out if out is not None else sys.stdout
-        self.report["passed"] = not self.failed
-        if fmt == "json":
-            out.write(json.dumps(self.report, sort_keys=True, indent=2))
-            out.write("\n")
-        else:
-            self._write_text(out)
-        return EXIT_MISMATCH if self.failed else EXIT_OK
-
-    def _write_text(self, out):
-        out.write("command: {}\n".format(self.report["command"]))
-        for key in sorted(self.report):
-            if key in ("command", "checks", "passed"):
-                continue
-            out.write("{}: {}\n".format(key, _fmt(self.report[key])))
-        for c in self.report["checks"]:
+def _finish(report, fmt):
+    """Write the report to stdout; the exit code says whether it passed."""
+    out = sys.stdout
+    if fmt == "json":
+        body = dict(report.values, passed=report.passed,
+                    checks=[c.to_dict() for c in report.checks])
+        out.write(json.dumps(body, sort_keys=True, indent=2))
+        out.write("\n")
+    else:
+        out.write("command: {}\n".format(report.values["command"]))
+        for key in sorted(report.values):
+            if key != "command":
+                out.write("{}: {}\n".format(key, _fmt(report.values[key])))
+        for c in report.checks:
             out.write("check {}: expected {} actual {} [{}] {}\n".format(
-                c["name"], _fmt(c["expected"]), _fmt(c["actual"]),
-                c["source"], "ok" if c["passed"] else "MISMATCH"))
-        out.write("passed: {}\n".format(not self.failed))
+                c.name, _fmt(c.expected), _fmt(c.actual), c.source,
+                "ok" if c.passed else "MISMATCH"))
+        out.write("passed: {}\n".format(report.passed))
+    return EXIT_OK if report.passed else EXIT_MISMATCH
 
 
 def _fmt(value):
@@ -102,36 +86,34 @@ def _component_dicts(resolved):
              "pieces": c.piece_count} for c in resolved.components]
 
 
-def _apply_resolve_expectations(rb, scenario, resolved, copies):
+def _apply_resolve_expectations(report, strict, scenario, resolved, copies):
     exp = scenario.expectations
     parity = exp.get("copy_parity", {}).get("value")
     if parity == "even" and copies % 2 != 0:
-        rb.set("expectations_skipped",
-               "declared only for even copy counts")
+        report.values["expectations_skipped"] = (
+            "declared only for even copy counts")
         return
     if "connected" in exp:
-        rb.check("connected", exp["connected"]["value"],
-                 resolved.component_count == 1,
-                 exp["connected"]["source"])
+        _check(report, strict, "connected", exp["connected"]["value"],
+               resolved.component_count == 1, exp["connected"]["source"])
     if "genus" in exp:
         entry = exp["genus"]
         expected = entry["base"] + entry["per_copy"] * copies
         actual = (resolved.components[0].genus
                   if resolved.component_count == 1 else None)
-        rb.check("genus", expected, actual, entry["source"])
+        _check(report, strict, "genus", expected, actual, entry["source"])
 
 
 def cmd_resolve(args):
     scenario = _load(args.scenario)
     pc = scenario.require("patch_complex")
-    rb = ReportBuilder("resolve", args.strict)
-    rb.set("scenario", scenario.name)
-    rb.set("copies", args.n)
     resolved = resolve(pc, args.n)
-    rb.set("components", _component_dicts(resolved))
-    rb.set("total_euler", resolved.total_euler)
-    _apply_resolve_expectations(rb, scenario, resolved, args.n)
-    return rb.finish(args.format)
+    report = Report(command="resolve", scenario=scenario.name,
+                    copies=args.n, components=_component_dicts(resolved),
+                    total_euler=resolved.total_euler)
+    _apply_resolve_expectations(report, args.strict, scenario, resolved,
+                                args.n)
+    return _finish(report, args.format)
 
 
 def cmd_trace(args):
@@ -140,20 +122,17 @@ def cmd_trace(args):
     if args.n is not None:
         dp = DiskPattern(word=dp.word, copies=args.n,
                          inner_closed=dp.inner_closed)
-    rb = ReportBuilder("trace", args.strict)
-    rb.set("scenario", scenario.name)
-    report = trace(dp)
-    rb.set("word", dp.word)
-    rb.set("copies", dp.copies)
-    rb.set("arc_count", report.arc_count)
-    rb.set("gamma_levels", [report.gamma_levels.start,
-                            report.gamma_levels.stop - 1]
-           if len(report.gamma_levels) else [])
-    rb.set("gamma_count", report.gamma_count)
-    rb.set("excursion", list(report.excursion))
-    rb.set("annulus_count", len(report.annuli))
-    rb.set("extra_closed_bound", report.extra_closed_bound)
-    return rb.finish(args.format)
+    traced = trace(dp)
+    report = Report(
+        command="trace", scenario=scenario.name, word=dp.word,
+        copies=dp.copies, arc_count=traced.arc_count,
+        gamma_levels=([traced.gamma_levels.start,
+                       traced.gamma_levels.stop - 1]
+                      if len(traced.gamma_levels) else []),
+        gamma_count=traced.gamma_count, excursion=list(traced.excursion),
+        annulus_count=traced.annulus_count,
+        extra_closed_bound=traced.extra_closed_bound)
+    return _finish(report, args.format)
 
 
 def _thresholds(scenario):
@@ -168,15 +147,13 @@ def _thresholds(scenario):
 def cmd_shifts(args):
     scenario = _load(args.scenario)
     sides, profile = _thresholds(scenario)
-    rb = ReportBuilder("shifts", args.strict)
-    rb.set("scenario", scenario.name)
-    rb.set("shifts_prime", list(profile.shifts_prime))
-    rb.set("shifts_dblprime", list(profile.shifts_dblprime))
-    rb.set("max_crossing_count", profile.max_crossing_count)
-    rb.set("shift_lcm", profile.shift_lcm)
-    rb.set("margin", profile.margin)
-    rb.set("boundary_count", profile.boundary_count)
-    return rb.finish(args.format)
+    report = Report(command="shifts", scenario=scenario.name,
+                    shifts_prime=list(profile.shifts_prime),
+                    shifts_dblprime=list(profile.shifts_dblprime),
+                    max_crossing_count=profile.max_crossing_count,
+                    shift_lcm=profile.shift_lcm, margin=profile.margin,
+                    boundary_count=profile.boundary_count)
+    return _finish(report, args.format)
 
 
 def cmd_certify(args):
@@ -188,50 +165,46 @@ def cmd_certify(args):
             "can be checked")
     cert = essential_certificate(args.level, args.n, profile,
                                  sides.prime, sides.dblprime, sides.eulers)
-    rb = ReportBuilder("certify", args.strict)
-    rb.set("scenario", scenario.name)
-    rb.set("copies", args.n)
-    rb.set("level", args.level)
-    rb.set("kind", cert.kind)
-    rb.set("validated", True)
+    report = Report(command="certify", scenario=scenario.name,
+                    copies=args.n, level=args.level, kind=cert.kind,
+                    validated=True)
     if cert.kind == "zero-side":
-        rb.set("zero_side", cert.side)
-        rb.set("side_euler", cert.side_euler)
-        rb.set("sum_euler", cert.sum_euler)
+        report.values.update(zero_side=cert.side,
+                             side_euler=cert.side_euler,
+                             sum_euler=cert.sum_euler)
     else:
-        rb.set("period", cert.period)
-        rb.set("prime_arc", cert.prime_index)
-        rb.set("prime_shift", cert.prime_shift)
-        rb.set("prime_levels", list(cert.prime_levels))
-        rb.set("dblprime_arc", cert.dblprime_index)
-        rb.set("dblprime_shift", cert.dblprime_shift)
-        rb.set("dblprime_levels", list(cert.dblprime_levels))
-    return rb.finish(args.format)
+        report.values.update(
+            period=cert.period, prime_arc=cert.prime_index,
+            prime_shift=cert.prime_shift,
+            prime_levels=list(cert.prime_levels),
+            dblprime_arc=cert.dblprime_index,
+            dblprime_shift=cert.dblprime_shift,
+            dblprime_levels=list(cert.dblprime_levels))
+    return _finish(report, args.format)
 
 
 def cmd_reduce(args):
     scenario = _load(args.scenario)
     inv = scenario.require("inventory")
-    rb = ReportBuilder("reduce", args.strict)
-    rb.set("scenario", scenario.name)
-    rb.set("copies_before", inv.copies)
+    report = Report(command="reduce", scenario=scenario.name,
+                    copies_before=inv.copies)
     pc = scenario.patch_complex
     attach = pc is not None and all(
-        any(s.id == c.id for s in pc.seams) for c in inv.inessential())
+        c.id in pc.seams_by_id for c in inv.inessential())
     outcome = remove_trivial(inv, pc if attach else None)
-    rb.set("inessential_removed", outcome.removed)
+    report.values["inessential_removed"] = outcome.removed
     inv = outcome.inventory
     if outcome.profile_before is not None:
-        rb.check("resolve_profile_preserved", outcome.profile_before,
-                 outcome.profile_after, "derived")
+        _check(report, args.strict, "resolve_profile_preserved",
+               outcome.profile_before, outcome.profile_after, "derived")
     if inv.torus_mode:
         parity = reduce_parities(inv)
-        rb.set("net_positive", parity.net)
-        rb.set("cancelled_pairs", parity.cancelled_pairs)
+        report.values.update(net_positive=parity.net,
+                             cancelled_pairs=parity.cancelled_pairs)
         inv = parity.inventory
-    rb.set("copies_after", inv.copies)
-    rb.set("curves_after", [c.id for c in inv.curves])
-    return rb.finish(args.format)
+    report.values.update(copies_after=inv.copies,
+                         curves_after=[c.id for c in inv.curves])
+    return _finish(report, args.format)
 
 
 def cmd_sweep(args):
@@ -239,10 +212,8 @@ def cmd_sweep(args):
     if args.n_from > args.n_to:
         raise HakenSumError("--from must not exceed --to")
     sweep_range = range(args.n_from, args.n_to + 1)
-    rb = ReportBuilder("sweep", args.strict)
-    rb.set("scenario", scenario.name)
-    rb.set("from", args.n_from)
-    rb.set("to", args.n_to)
+    report = Report(command="sweep", scenario=scenario.name)
+    report.values.update({"from": args.n_from, "to": args.n_to})
     did_anything = False
 
     if scenario.patch_complex is not None:
@@ -258,32 +229,35 @@ def cmd_sweep(args):
                 "genus": (resolved.components[0].genus
                           if resolved.component_count == 1 else None),
             })
-            _apply_resolve_expectations(rb, scenario, resolved, n)
-        rb.set("progression", rows)
-        rb.set("conjectured_period", conjectured_period(pc))
+            _apply_resolve_expectations(report, args.strict, scenario,
+                                        resolved, n)
+        report.values.update(progression=rows,
+                             conjectured_period=conjectured_period(pc))
 
     if scenario.inventory is not None and scenario.inventory.torus_mode:
         did_anything = True
         inv = scenario.inventory
+        exp = scenario.expectations
         period = torus_periodicity(
             len(inv.curves), sweep_range,
-            euler_splitting=scenario.expectations.get(
-                "euler_constant", {}).get("value"))
-        rb.set("residue_period", period.period)
-        rb.set("residue_classes", [list(c) for c in period.classes])
-        exp = scenario.expectations
+            euler_splitting=exp.get("euler_constant", {}).get("value"))
+        report.values.update(
+            residue_period=period.period,
+            residue_classes=[list(c) for c in period.classes])
         if "residue_classes" in exp:
-            rb.check("residue_classes", exp["residue_classes"]["value"],
-                     period.class_count, exp["residue_classes"]["source"])
+            _check(report, args.strict, "residue_classes",
+                   exp["residue_classes"]["value"], period.class_count,
+                   exp["residue_classes"]["source"])
         if "euler_constant" in exp:
-            rb.check("euler_constant", exp["euler_constant"]["value"],
-                     period.euler_constant, exp["euler_constant"]["source"])
+            _check(report, args.strict, "euler_constant",
+                   exp["euler_constant"]["value"], period.euler_constant,
+                   exp["euler_constant"]["source"])
 
     if not did_anything:
         raise HakenSumError(
             "scenario {!r} has neither a patch complex nor a torus "
             "inventory to sweep".format(scenario.name))
-    return rb.finish(args.format)
+    return _finish(report, args.format)
 
 
 def build_parser():
@@ -298,9 +272,6 @@ def build_parser():
                             + ", ".join(sorted(schema.BUILTIN_SCENARIOS)))
         p.add_argument("--format", choices=("text", "json"),
                        default="text")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized operations (reserved; "
-                            "current subcommands are deterministic)")
         p.add_argument("--strict", action="store_true",
                        help="stop at the first expectation mismatch")
         if needs_n:

@@ -86,13 +86,17 @@ class TraceReport:
     arc_count: int
     gamma_levels: range
     excursion: tuple
-    annuli: tuple
     extra_closed_bound: int
     copies: int
 
     @property
     def gamma_count(self):
         return len(self.gamma_levels)
+
+    @property
+    def annulus_count(self):
+        """Adjacent traced curves that cobound an annulus."""
+        return max(self.gamma_count - 1, 0)
 
 
 def prefix_sums(word):
@@ -123,13 +127,10 @@ def trace(dp):
     lo_level = 1 - low
     hi_level = dp.copies - high
     gamma_levels = range(lo_level, max(hi_level + 1, lo_level))
-    annuli_pairs = tuple(
-        (i, i + 1) for i in gamma_levels if i + 1 in gamma_levels)
     return TraceReport(
         arc_count=len(dp.word) // 2,
         gamma_levels=gamma_levels,
         excursion=(high, low),
-        annuli=annuli_pairs,
         extra_closed_bound=dp.crossing_components,
         copies=dp.copies,
     )
@@ -166,8 +167,3 @@ def stack_word_from_arcs(arcs):
     ends.sort()
     return "".join("+" if kind == "ascend" else "-" for _, kind in ends)
 
-
-def annuli(report):
-    """Adjacent level pairs whose traced curves cobound an annulus."""
-    levels = report.gamma_levels
-    return tuple((i, i + 1) for i in levels if i + 1 in levels)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 from .errors import (DisconnectionError, DomainError, GuardViolationError,
                      InsufficientCopiesError, MalformedComplexError,
                      UndefinedPeriodError)
-from .surfaces import Patch, PatchComplex, SeamCurve, euler_of_sum, resolve
+from .surfaces import (Patch, PatchComplex, SeamCurve, UnionFind,
+                       euler_of_sum, level_components, resolve)
 
 PARITIES = ("+", "-")
 
@@ -108,40 +109,21 @@ def _analyse_trivial_seam(pc, seam_id):
     neighbour_at_top = (neighbour == ga0) == (seam0.level_shift == 1)
 
     # Level potential of the absorbed copy over the interleaving seams.
-    adj = {p.id: [] for p in pc.g_patches}
-    for s in pc.seams:
-        if s.id == seam_id or s.level_shift == 0:
-            continue
-        (_, ga), (_, gb) = s.chosen_pairs()
-        adj[ga].append((gb, s.level_shift))
-        adj[gb].append((ga, -s.level_shift))
-    potential = {}
+    interleaving = [s for s in pc.seams
+                    if s.id != seam_id and s.level_shift != 0]
     span = 0
-    for start in adj:
-        if start in potential or start == disk:
-            continue
-        potential[start] = 0
-        component = [start]
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, sh in adj[v]:
-                if w not in potential:
-                    potential[w] = potential[v] + sh
-                    component.append(w)
-                    stack.append(w)
-                elif potential[w] != potential[v] + sh:
-                    raise MalformedComplexError(
-                        "seam {}: the copy graph drifts around a cycle, "
-                        "so no single copy can be absorbed".format(seam_id))
-        values = [potential[v] for v in component]
-        span = max(span, max(values) - min(values))
-        if neighbour in component:
-            extreme = max(values) if neighbour_at_top else min(values)
-            if potential[neighbour] != extreme:
-                raise MalformedComplexError(
-                    "seam {}: the disk's neighbour patch is not at the "
-                    "extreme level of the absorbed copy".format(seam_id))
+    for potential, drift in level_components(pc, interleaving):
+        if drift:
+            raise MalformedComplexError(
+                "seam {}: the copy graph drifts around a cycle, "
+                "so no single copy can be absorbed".format(seam_id))
+        low, high = min(potential.values()), max(potential.values())
+        span = max(span, high - low)
+        extreme = high if neighbour_at_top else low
+        if neighbour in potential and potential[neighbour] != extreme:
+            raise MalformedComplexError(
+                "seam {}: the disk's neighbour patch is not at the "
+                "extreme level of the absorbed copy".format(seam_id))
     return disk, neighbour, span
 
 
@@ -175,27 +157,7 @@ def absorb_trivial_seam(pc, seam_id, copies=None):
     seam0 = pc.seam(seam_id)
     (fa0, ga0), (fb0, gb0) = seam0.chosen_pairs()
 
-    class _UF:
-        def __init__(self):
-            self.parent = {}
-
-        def add(self, x):
-            self.parent.setdefault(x, x)
-
-        def find(self, x):
-            while self.parent[x] != x:
-                self.parent[x] = self.parent[self.parent[x]]
-                x = self.parent[x]
-            return x
-
-        def union(self, a, b):
-            self.add(a)
-            self.add(b)
-            ra, rb = self.find(a), self.find(b)
-            if ra != rb:
-                self.parent[rb] = ra
-
-    uf = _UF()
+    uf = UnionFind()
     for p in pc.f_patches:
         uf.add(("F", p.id))
     for p in pc.g_patches:
@@ -366,20 +328,14 @@ def reduce_parities(inv):
             "cancelling {} pairs needs more than {} copies".format(
                 cancelled, inv.copies))
 
-    curves = list(inv.curves)
-    # Cancel cyclically adjacent opposite pairs, first such pair each
-    # round; the surviving multiset does not depend on the order.
-    changed = True
-    while changed:
-        changed = False
-        k = len(curves)
-        for i in range(k):
-            j = (i + 1) % k
-            if k >= 2 and curves[i].parity != curves[j].parity:
-                for idx in sorted((i, j), reverse=True):
-                    del curves[idx]
-                changed = True
-                break
+    # One stack pass: an incoming curve of the opposite parity to the top
+    # of the stack cancels against it, and neither survives.
+    curves = []
+    for curve in inv.curves:
+        if curves and curves[-1].parity != curve.parity:
+            curves.pop()
+        else:
+            curves.append(curve)
     if len(curves) != net or any(c.parity != "+" for c in curves):
         raise AssertionError("parity cancellation lost count")
     return ParityOutcome(

@@ -15,11 +15,11 @@ for strong irreducibility.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import schema
 from .errors import ScenarioError
-from .surfaces import euler_of_sum, genus_from_euler, resolve
+from .surfaces import UnionFind, euler_of_sum, genus_from_euler, resolve
 
 
 @dataclass(frozen=True)
@@ -41,34 +41,27 @@ class Check:
                 "source": self.source}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    scenario: str
-    checks: tuple
-    notes: tuple = ()
+class Report:
+    """The checks of one verification run, with its notes and values.
+
+    The worked families and every CLI subcommand fill one in; ``values``
+    holds the other named figures the run reports.
+    """
+
+    def __init__(self, **values):
+        self.values = values
+        self.checks = []
+        self.notes = []
+
+    def check(self, name, expected, actual, source):
+        """Record one check and return it."""
+        check = Check(name, expected, actual, source)
+        self.checks.append(check)
+        return check
 
     @property
     def passed(self):
         return all(c.passed for c in self.checks)
-
-    def to_dict(self):
-        return {"scenario": self.scenario,
-                "passed": self.passed,
-                "checks": [c.to_dict() for c in self.checks],
-                "notes": list(self.notes)}
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A named bundle of the data a scenario file can carry."""
-
-    name: str
-    patch_complex: object = None
-    disk_pattern: object = None
-    sides: object = None
-    inventory: object = None
-    gluing_graph: object = None
-    expectations: dict = field(default_factory=dict)
 
 
 def casson_gordon_scenario(boxes, twists):
@@ -93,49 +86,43 @@ def casson_gordon_scenario(boxes, twists):
     euler_summand = -2
     expected_genus = (boxes - 1) + 2 * twists
 
-    checks = [
-        Check("spanning_surface_euler", 2 - boxes, euler_spanning,
-              "derived"),
-        Check("splitting_surface_euler", 4 - 2 * boxes, euler_splitting,
-              "derived"),
-        Check("summand_euler", -2, euler_summand, "derived"),
-        Check("sum_euler",
-              euler_splitting + copies * euler_summand,
-              euler_of_sum(euler_splitting, euler_summand, copies),
-              "derived"),
-        Check("genus", expected_genus,
-              genus_from_euler(
-                  euler_of_sum(euler_splitting, euler_summand, copies)),
-              "reference"),
-    ]
-    notes = []
-    pc = None
+    name = "cg-pretzel-m{}".format(boxes)
+    report = Report(scenario=name)
+    report.check("spanning_surface_euler", 2 - boxes, euler_spanning,
+                 "derived")
+    report.check("splitting_surface_euler", 4 - 2 * boxes, euler_splitting,
+                 "derived")
+    report.check("summand_euler", -2, euler_summand, "derived")
+    report.check("sum_euler", euler_splitting + copies * euler_summand,
+                 euler_of_sum(euler_splitting, euler_summand, copies),
+                 "derived")
+    report.check("genus", expected_genus,
+                 genus_from_euler(
+                     euler_of_sum(euler_splitting, euler_summand, copies)),
+                 "reference")
     if boxes == 5:
-        pc = schema.load_builtin("cg-pretzel-m5").patch_complex
-        resolved = resolve(pc, copies)
-        checks.extend([
-            Check("resolved_component_count", 1,
-                  resolved.component_count, "derived"),
-            Check("resolved_euler", euler_splitting + copies * euler_summand,
-                  resolved.total_euler, "derived"),
-            Check("resolved_genus", expected_genus,
-                  resolved.components[0].genus, "reference"),
-            Check("resolved_orientable", True,
-                  resolved.components[0].orientable, "derived"),
-            Check("resolved_closed", True,
-                  resolved.components[0].closed, "derived"),
-        ])
-        notes.append("seam data: curated five-region complex")
+        scenario = schema.load_builtin(name)
+        resolved = resolve(scenario.patch_complex, copies)
+        report.check("resolved_component_count", 1,
+                     resolved.component_count, "derived")
+        report.check("resolved_euler",
+                     euler_splitting + copies * euler_summand,
+                     resolved.total_euler, "derived")
+        report.check("resolved_genus", expected_genus,
+                     resolved.components[0].genus, "reference")
+        report.check("resolved_orientable", True,
+                     resolved.components[0].orientable, "derived")
+        report.check("resolved_closed", True,
+                     resolved.components[0].closed, "derived")
+        report.notes.append("seam data: curated five-region complex")
     else:
-        notes.append("seam data: euler bookkeeping only (no curated "
-                     "complex for {} regions)".format(boxes))
-
-    scenario = Scenario(name="cg-pretzel-m{}".format(boxes),
-                        patch_complex=pc,
-                        expectations={"genus": expected_genus,
-                                      "copies": copies})
-    report = VerificationReport(
-        scenario=scenario.name, checks=tuple(checks), notes=tuple(notes))
+        # Two copies per twist: genus (boxes - 1) + 1 per copy.
+        scenario = schema.scenario_from_dict({
+            "version": schema.SCHEMA_VERSION, "name": name,
+            "expectations": {"genus": {"base": boxes - 1, "per_copy": 1,
+                                       "source": "reference"}}})
+        report.notes.append("seam data: euler bookkeeping only (no curated "
+                            "complex for {} regions)".format(boxes))
     return scenario, report
 
 
@@ -154,33 +141,23 @@ def doubled_handlebody_scenario(copies):
             "copies must be even: the two-sided labelling of the "
             "complement needs it (the restriction is notational; odd "
             "counts are not modelled here)")
-    loaded = schema.load_builtin("doubled-handlebody")
-    pc = loaded.patch_complex
+    scenario = schema.load_builtin("doubled-handlebody")
+    pc = scenario.patch_complex
     expected_genus = 2 * copies + 3
     resolved = resolve(pc, copies)
-    checks = [
-        Check("prime_side_euler", -2, loaded.sides.eulers.prime_side,
-              "derived"),
-        Check("summand_euler", -4, pc.euler_g, "derived"),
-        Check("splitting_euler", -4, pc.euler_f, "derived"),
-        Check("sum_euler", -4 - 4 * copies,
-              euler_of_sum(pc.euler_f, pc.euler_g, copies), "derived"),
-        Check("resolved_component_count", 1, resolved.component_count,
-              "derived"),
-        Check("resolved_connected_closed", (True,),
-              tuple({c.closed for c in resolved.components}), "derived"),
-        Check("genus", expected_genus, resolved.components[0].genus,
-              "reference" if copies == 0 else "derived"),
-    ]
-    scenario = Scenario(name="doubled-handlebody",
-                        patch_complex=pc,
-                        disk_pattern=loaded.disk_pattern,
-                        sides=loaded.sides,
-                        gluing_graph=loaded.gluing_graph,
-                        expectations={"genus": expected_genus,
-                                      "copies": copies})
-    report = VerificationReport(scenario=scenario.name,
-                                checks=tuple(checks))
+    report = Report(scenario=scenario.name)
+    report.check("prime_side_euler", -2, scenario.sides.eulers.prime_side,
+                 "derived")
+    report.check("summand_euler", -4, pc.euler_g, "derived")
+    report.check("splitting_euler", -4, pc.euler_f, "derived")
+    report.check("sum_euler", -4 - 4 * copies,
+                 euler_of_sum(pc.euler_f, pc.euler_g, copies), "derived")
+    report.check("resolved_component_count", 1, resolved.component_count,
+                 "derived")
+    report.check("resolved_connected_closed", (True,),
+                 tuple({c.closed for c in resolved.components}), "derived")
+    report.check("genus", expected_genus, resolved.components[0].genus,
+                 "reference" if copies == 0 else "derived")
     return scenario, report
 
 
@@ -262,29 +239,13 @@ class GluingGraph:
                     raise ScenarioError(
                         "annulus {} references missing piece {!r}".format(
                             g.id, pid))
-        # connectivity
-        if self.pieces:
-            adj = {pid: set() for pid in known}
-            for g in self.gluings:
-                a, b = g.pieces
-                adj[a].add(b)
-                adj[b].add(a)
-            seen = set()
-            stack = [self.pieces[0].id]
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                stack.extend(adj[v] - seen)
-            if seen != known:
-                raise ScenarioError("gluing graph is disconnected")
-
-    def piece(self, pid):
-        for p in self.pieces:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
+        uf = UnionFind()
+        for pid in ids:
+            uf.add(pid)
+        for g in self.gluings:
+            uf.union(*g.pieces)
+        if len({uf.find(pid) for pid in ids}) > 1:
+            raise ScenarioError("gluing graph is disconnected")
 
 
 def gluing_graph_from_dict(d):
@@ -347,14 +308,9 @@ def handlebody_certificate(graph):
     if not graph.pieces:
         raise ScenarioError("empty gluing graph")
 
-    parent = {p.id: p.id for p in graph.pieces}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind()
+    for p in graph.pieces:
+        uf.add(p.id)
     genus_of_cluster = {p.id: (1 - p.euler) for p in graph.pieces}
 
     steps = []
@@ -377,7 +333,7 @@ def handlebody_certificate(graph):
             for g in graph.gluings if g.primitive_in is not None}
 
     def internal(g):
-        return find(g.pieces[0]) == find(g.pieces[1])
+        return uf.find(g.pieces[0]) == uf.find(g.pieces[1])
 
     def transfer_across_products():
         added = True
@@ -407,15 +363,15 @@ def handlebody_certificate(graph):
     while progress:
         progress = False
         for g in sorted(graph.gluings, key=lambda g: g.id):
-            ra, rb = find(g.pieces[0]), find(g.pieces[1])
+            ra, rb = uf.find(g.pieces[0]), uf.find(g.pieces[1])
             if ra == rb:
                 continue
-            anchored = {find(anchor) for (gid, anchor) in prim
+            anchored = {uf.find(anchor) for (gid, anchor) in prim
                         if gid == g.id}
             if ra not in anchored and rb not in anchored:
                 continue
             merged_genus = genus_of_cluster[ra] + genus_of_cluster[rb] - 1
-            parent[rb] = ra
+            uf.union(ra, rb)
             genus_of_cluster[ra] = merged_genus
             steps.append(ProofStep(
                 rule="merge-primitive-annulus",
@@ -425,7 +381,7 @@ def handlebody_certificate(graph):
             progress = True
             break
 
-    roots = {find(p.id) for p in graph.pieces}
+    roots = {uf.find(p.id) for p in graph.pieces}
     if len(roots) > 1:
         return ProofFailure(
             reason="no inference applies; {} clusters remain".format(

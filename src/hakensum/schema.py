@@ -40,11 +40,27 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
+_REQUIRED = object()
+
+
+def _require_int(mapping, key, context, default=_REQUIRED):
+    """An integer field (bools are rejected); an optional field that is
+    absent or null gives ``default``."""
+    if default is not _REQUIRED and mapping.get(key) is None:
+        return default
+    value = _require(mapping, key, context)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError("{}: field {!r} must be an integer, got "
+                            "{!r}".format(context, key, value))
+    return value
+
+
 def descriptor_from_dict(d, context="descriptor"):
     return SurfaceDescriptor(
-        euler=_require(d, "euler", context),
+        euler=_require_int(d, "euler", context),
         orientable=d.get("orientable", True),
-        boundary_components=d.get("boundary_components", 0),
+        boundary_components=_require_int(d, "boundary_components", context,
+                                         0),
         separating=d.get("separating", False))
 
 
@@ -60,7 +76,7 @@ def descriptor_to_dict(desc):
 def _patch_from_dict(d, context):
     seams = d.get("seams")
     return Patch(id=_require(d, "id", context),
-                 euler=_require(d, "euler", context),
+                 euler=_require_int(d, "euler", context),
                  seams=tuple(seams) if seams is not None else None,
                  oriented=d.get("oriented", True))
 
@@ -102,10 +118,12 @@ def patch_complex_to_dict(pc):
 
 
 def disk_pattern_from_dict(d):
-    return DiskPattern(word=_require(d, "word", "disk_pattern"),
-                       copies=_require(d, "copies", "disk_pattern"),
-                       inner_closed=d.get("inner_closed", 0),
-                       crossing_components=d.get("crossing_components"))
+    ctx = "disk_pattern"
+    return DiskPattern(word=_require(d, "word", ctx),
+                       copies=_require_int(d, "copies", ctx),
+                       inner_closed=_require_int(d, "inner_closed", ctx, 0),
+                       crossing_components=_require_int(
+                           d, "crossing_components", ctx, None))
 
 
 def disk_pattern_to_dict(dp):
@@ -130,7 +148,7 @@ def _side_from_dict(d, label):
                             crossings=tuple(_require(b, "crossings",
                                                      "sides." + label)))
                     for b in _require(d, "betas", "sides." + label)),
-        alpha_count=d.get("alpha_count", 0))
+        alpha_count=_require_int(d, "alpha_count", "sides." + label, 0))
 
 
 def sides_from_dict(d):
@@ -138,16 +156,16 @@ def sides_from_dict(d):
     if "euler" in d:
         e = d["euler"]
         eulers = SumEulers(
-            splitting=_require(e, "splitting", "sides.euler"),
-            summand=_require(e, "summand", "sides.euler"),
-            prime_side=_require(e, "prime_side", "sides.euler"),
-            dblprime_side=_require(e, "dblprime_side", "sides.euler"))
+            splitting=_require_int(e, "splitting", "sides.euler"),
+            summand=_require_int(e, "summand", "sides.euler"),
+            prime_side=_require_int(e, "prime_side", "sides.euler"),
+            dblprime_side=_require_int(e, "dblprime_side", "sides.euler"))
     return SidesSection(
         prime=_side_from_dict(_require(d, "prime", "sides"), "prime"),
         dblprime=_side_from_dict(_require(d, "dblprime", "sides"),
                                  "dblprime"),
         eulers=eulers,
-        boundary_count=d.get("boundary_count"))
+        boundary_count=_require_int(d, "boundary_count", "sides", None))
 
 
 def inventory_from_dict(d):
@@ -156,7 +174,7 @@ def inventory_from_dict(d):
                            essential_on_k=c.get("essential_on_k", True),
                            parity=c.get("parity"))
                      for c in _require(d, "curves", "inventory")),
-        copies=_require(d, "copies", "inventory"))
+        copies=_require_int(d, "copies", "inventory"))
 
 
 def inventory_to_dict(inv):

@@ -139,8 +139,8 @@ class PatchComplex:
         if set(f_ids) & set(g_ids):
             raise MalformedComplexError(
                 "patch ids must not be shared between the two sides")
-        seam_ids = [s.id for s in self.seams]
-        if len(set(seam_ids)) != len(seam_ids):
+        self.seams_by_id = {s.id: s for s in self.seams}
+        if len(self.seams_by_id) != len(self.seams):
             raise MalformedComplexError("duplicate seam id")
 
         f_set, g_set = set(f_ids), set(g_ids)
@@ -189,23 +189,8 @@ class PatchComplex:
     def euler_g(self):
         return sum(p.euler for p in self.g_patches)
 
-    def f_patch(self, pid):
-        for p in self.f_patches:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
-
-    def g_patch(self, pid):
-        for p in self.g_patches:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
-
     def seam(self, sid):
-        for s in self.seams:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
+        return self.seams_by_id[sid]
 
 
 @dataclass(frozen=True)
@@ -241,7 +226,10 @@ class ResolvedSurface:
         return tuple(sorted(c.euler for c in self.components))
 
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint sets of hashable nodes.  A union keeps the root of its
+    first argument, which callers rely on to name and key merged sets."""
+
     def __init__(self):
         self.parent = {}
 
@@ -312,7 +300,7 @@ def resolve(pc, copies):
     """
     if copies < 0:
         raise DomainError("copies must be nonnegative")
-    uf = _UnionFind()
+    uf = UnionFind()
     for p in pc.f_patches:
         uf.add(("F", p.id))
     if copies > 0:
@@ -385,19 +373,41 @@ def genus_of(d):
     return genus_from_euler(d.euler)
 
 
-def copy_graph(pc):
-    """The graph of G-patches joined by seam chains, with level weights.
+def level_components(pc, seams):
+    """Walk the copy graph of ``pc`` over ``seams``, one component at a time.
 
-    Each seam contributes one edge from its first chosen G-side to its
-    second, weighted by the seam's level shift.  Traversing the edge
-    backwards negates the weight.
+    The copy graph joins G-patches by seam chains: each seam contributes
+    one edge from its first chosen G-side to its second, weighted by the
+    seam's level shift, and traversing the edge backwards negates the
+    weight.  Yields (potential, drift) per component, where ``potential``
+    maps each member patch to its level relative to the component's first
+    patch and ``drift`` is the gcd of the net shifts around its cycles
+    (0 when every cycle closes up at its starting level).
     """
     adj = {p.id: [] for p in pc.g_patches}
-    for seam in pc.seams:
+    for seam in seams:
         (_, ga), (_, gb) = seam.chosen_pairs()
         adj[ga].append((gb, seam.level_shift))
         adj[gb].append((ga, -seam.level_shift))
-    return adj
+    seen = set()
+    for start in adj:
+        if start in seen:
+            continue
+        potential = {start: 0}
+        stack = [start]
+        drift = 0
+        while stack:
+            v = stack.pop()
+            for w, shift in adj[v]:
+                if w not in potential:
+                    potential[w] = potential[v] + shift
+                    stack.append(w)
+                else:
+                    drift = math.gcd(
+                        drift, abs(potential[v] + shift - potential[w]))
+        seen.update(potential)
+        yield potential, drift
+
 
 def conjectured_period(pc):
     """Conjectured period of the component count as a function of n.
@@ -410,24 +420,9 @@ def conjectured_period(pc):
     class structure grows with n instead and no period is conjectured
     (returns None).
     """
-    adj = copy_graph(pc)
-    seen = {}
     period = 1
-    for start in adj:
-        if start in seen:
-            continue
-        seen[start] = 0
-        stack = [start]
-        g = 0
-        while stack:
-            v = stack.pop()
-            for w, shift in adj[v]:
-                if w not in seen:
-                    seen[w] = seen[v] + shift
-                    stack.append(w)
-                else:
-                    g = math.gcd(g, abs(seen[v] + shift - seen[w]))
-        if g == 0:
+    for _, drift in level_components(pc, pc.seams):
+        if drift == 0:
             return None
-        period = math.lcm(period, g)
+        period = math.lcm(period, drift)
     return period

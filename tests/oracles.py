@@ -167,6 +167,27 @@ def walk_dual_curve(cert):
     return True
 
 
+def cancel_parities_by_rescan(curves):
+    """Cancel cyclically adjacent opposite-parity curves, one pair at a
+    time, rescanning from the start after every cancellation.
+
+    Returns the surviving curves in their original order.
+    """
+    curves = list(curves)
+    changed = True
+    while changed:
+        changed = False
+        k = len(curves)
+        for i in range(k):
+            j = (i + 1) % k
+            if k >= 2 and curves[i].parity != curves[j].parity:
+                for idx in sorted((i, j), reverse=True):
+                    del curves[idx]
+                changed = True
+                break
+    return curves
+
+
 def check_zero_side(cert):
     """The Euler count that forbids the complementary disk."""
     return cert.side_euler + 1 > cert.sum_euler

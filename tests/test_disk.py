@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hakensum import (DiskPattern, DomainError, InconsistentLabelingError,
-                      annuli, stack_word_from_arcs, trace)
+                      stack_word_from_arcs, trace)
 from hakensum.disk import prefix_sums
 
 from generators import all_balanced_words, random_balanced_word
@@ -150,17 +150,13 @@ class TestStackWord:
 class TestAnnuli:
     def test_interval_of_eight(self):
         report = trace(DiskPattern(word="++--", copies=10))
-        assert len(annuli(report)) == 7
+        assert report.annulus_count == 7
 
     def test_singleton_has_none(self):
         report = trace(DiskPattern(word="+-", copies=2))
         assert report.gamma_count == 1
-        assert annuli(report) == ()
+        assert report.annulus_count == 0
 
     def test_empty_has_none(self):
         report = trace(DiskPattern(word="+-", copies=1))
-        assert annuli(report) == ()
-
-    def test_matches_report_field(self):
-        report = trace(DiskPattern(word="+-+-", copies=9))
-        assert annuli(report) == report.annuli
+        assert report.annulus_count == 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from hakensum.schema import load_builtin
 
 from generators import (random_can_state, random_complex_with_trivial_seams,
                         random_parity_inventory)
-from oracles import residue_classes
+from oracles import cancel_parities_by_rescan, residue_classes
 
 
 def inventory(flags, copies, parities=None):
@@ -160,6 +161,28 @@ class TestReduceParities:
             assert out.net >= 1
             again = reduce_parities(out.inventory)
             assert again.cancelled_pairs == 0
+
+    @staticmethod
+    def assert_matches_rescan(parities):
+        inv = inventory([True] * len(parities), len(parities) + 1,
+                        parities=parities)
+        out = reduce_parities(inv)
+        assert (list(out.inventory.curves)
+                == cancel_parities_by_rescan(inv.curves))
+
+    def test_matches_rescan_oracle_exhaustive(self):
+        for length in range(1, 13):
+            for parities in itertools.product("+-", repeat=length):
+                if parities.count("+") > parities.count("-"):
+                    self.assert_matches_rescan(parities)
+
+    def test_matches_rescan_oracle_large(self, seed):
+        rng = random.Random(seed + 44)
+        for _ in range(5):
+            minus = rng.randint(0, 999)
+            parities = ["+"] * (2000 - minus) + ["-"] * minus
+            rng.shuffle(parities)
+            self.assert_matches_rescan(parities)
 
 
 class TestTorusPeriodicity:

@@ -110,6 +110,48 @@ class TestExitCodes:
         assert code == EXIT_MISMATCH
 
 
+CERTIFY = ["certify", "--n", "10", "--level", "5"]
+NUMERIC_FIELDS = [
+    ("doubled_handlebody", ("patch_complex", "f_patches", 0, "euler"),
+     ["resolve", "--n", "2"]),
+    ("doubled_handlebody", ("patch_complex", "f_descriptor", "euler"),
+     ["resolve", "--n", "2"]),
+    ("doubled_handlebody",
+     ("patch_complex", "f_descriptor", "boundary_components"),
+     ["resolve", "--n", "2"]),
+    ("doubled_handlebody", ("disk_pattern", "copies"), ["trace"]),
+    ("doubled_handlebody", ("disk_pattern", "inner_closed"), ["trace"]),
+    ("doubled_handlebody", ("disk_pattern", "crossing_components"),
+     ["trace"]),
+    ("trivial_removal_demo", ("inventory", "copies"), ["reduce"]),
+    ("doubled_handlebody", ("sides", "euler", "splitting"), CERTIFY),
+    ("doubled_handlebody", ("sides", "euler", "summand"), CERTIFY),
+    ("doubled_handlebody", ("sides", "euler", "prime_side"), CERTIFY),
+    ("doubled_handlebody", ("sides", "euler", "dblprime_side"), CERTIFY),
+    ("doubled_handlebody", ("sides", "boundary_count"), ["shifts"]),
+    ("doubled_handlebody", ("sides", "prime", "alpha_count"), ["shifts"]),
+]
+
+
+class TestNumericFields:
+    @pytest.mark.parametrize("bad", ["x", True, 2.5])
+    @pytest.mark.parametrize(
+        "builtin,path,argv", NUMERIC_FIELDS,
+        ids=[".".join(map(str, path)) for _, path, _ in NUMERIC_FIELDS])
+    def test_non_integer_is_input_error(self, tmp_path, capsys, builtin,
+                                        path, argv, bad):
+        raw = json.loads((schema.resources.files("hakensum") / "data"
+                          / (builtin + ".json")).read_text())
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        scenario = write_scenario(tmp_path, raw)
+        code, _ = run_cli(argv[0], "--scenario", scenario, *argv[1:])
+        assert code == EXIT_INPUT
+        assert "must be an integer" in capsys.readouterr().err
+
+
 class TestReports:
     def test_byte_identical_reports(self):
         args = ("resolve", "--scenario", "cg-pretzel-m5", "--n", "8",
