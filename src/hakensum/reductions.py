@@ -157,52 +157,50 @@ def absorb_trivial_seam(pc, seam_id, copies=None):
     seam0 = pc.seam(seam_id)
     (fa0, ga0), (fb0, gb0) = seam0.chosen_pairs()
 
-    uf = UnionFind()
-    for p in pc.f_patches:
-        uf.add(("F", p.id))
-    for p in pc.g_patches:
-        uf.add(("C", p.id))
-    uf.union(("F", fa0), ("C", ga0))
-    uf.union(("F", fb0), ("C", gb0))
+    patches = pc.f_patches + pc.g_patches
+    nodes = ([("F", p.id) for p in pc.f_patches]
+             + [("C", p.id) for p in pc.g_patches])
+    index = {node: i for i, node in enumerate(nodes)}
+    uf = UnionFind(len(nodes))
+
+    def join(a, b):
+        uf.union(index[a], index[b])
+
+    join(("F", fa0), ("C", ga0))
+    join(("F", fb0), ("C", gb0))
     for s in pc.seams:
         if s.id == seam_id:
             continue
         (fa, ga), (fb, gb) = s.chosen_pairs()
         if s.level_shift == 0:
             # Copies at a non-interleaving seam attach straight to F.
-            uf.union(("F", fa), ("C", ga))
-            uf.union(("F", fb), ("C", gb))
+            join(("F", fa), ("C", ga))
+            join(("F", fb), ("C", gb))
         else:
-            uf.union(("C", ga), ("C", gb))
+            join(("C", ga), ("C", gb))
 
-    euler = {}
-    oriented = {}
-    for p in pc.f_patches:
-        euler[("F", p.id)] = p.euler
-        oriented[("F", p.id)] = p.oriented
-    for p in pc.g_patches:
-        euler[("C", p.id)] = p.euler
-        oriented[("C", p.id)] = p.oriented
-
+    # Groups are named after their root node, so the first argument of
+    # every join must stay the root that survives it.
     groups = {}
-    for node in list(uf.parent):
-        groups.setdefault(uf.find(node), []).append(node)
+    for i in range(len(nodes)):
+        groups.setdefault(nodes[uf.find(i)], []).append(i)
     rep_name = {}
     new_f = []
     for _, members in sorted(groups.items()):
-        members.sort()
-        name = "+".join("{}.{}".format(kind, pid) for kind, pid in members)
-        flags = {oriented[m] for m in members}
+        members.sort(key=nodes.__getitem__)
+        name = "+".join("{}.{}".format(*nodes[m]) for m in members)
+        flags = {patches[m].oriented for m in members}
         if flags == {True}:
             ori = True
         elif False in flags:
             ori = False
         else:
             ori = None
-        new_f.append(Patch(id=name, euler=sum(euler[m] for m in members),
+        new_f.append(Patch(id=name,
+                           euler=sum(patches[m].euler for m in members),
                            oriented=ori))
         for m in members:
-            rep_name[m] = name
+            rep_name[nodes[m]] = name
 
     new_g = []
     for p in pc.g_patches:

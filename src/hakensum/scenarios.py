@@ -239,12 +239,11 @@ class GluingGraph:
                     raise ScenarioError(
                         "annulus {} references missing piece {!r}".format(
                             g.id, pid))
-        uf = UnionFind()
-        for pid in ids:
-            uf.add(pid)
+        index = {pid: i for i, pid in enumerate(ids)}
+        uf = UnionFind(len(ids))
         for g in self.gluings:
-            uf.union(*g.pieces)
-        if len({uf.find(pid) for pid in ids}) > 1:
+            uf.union(index[g.pieces[0]], index[g.pieces[1]])
+        if len({uf.find(i) for i in range(len(ids))}) > 1:
             raise ScenarioError("gluing graph is disconnected")
 
 
@@ -308,10 +307,10 @@ def handlebody_certificate(graph):
     if not graph.pieces:
         raise ScenarioError("empty gluing graph")
 
-    uf = UnionFind()
-    for p in graph.pieces:
-        uf.add(p.id)
-    genus_of_cluster = {p.id: (1 - p.euler) for p in graph.pieces}
+    index = {p.id: i for i, p in enumerate(graph.pieces)}
+    uf = UnionFind(len(index))
+    # Keyed by cluster root: a merge keeps the root of its first argument.
+    genus_of_cluster = [1 - p.euler for p in graph.pieces]
 
     steps = []
     for p in sorted(graph.pieces, key=lambda p: p.id):
@@ -333,7 +332,7 @@ def handlebody_certificate(graph):
             for g in graph.gluings if g.primitive_in is not None}
 
     def internal(g):
-        return uf.find(g.pieces[0]) == uf.find(g.pieces[1])
+        return uf.find(index[g.pieces[0]]) == uf.find(index[g.pieces[1]])
 
     def transfer_across_products():
         added = True
@@ -363,10 +362,10 @@ def handlebody_certificate(graph):
     while progress:
         progress = False
         for g in sorted(graph.gluings, key=lambda g: g.id):
-            ra, rb = uf.find(g.pieces[0]), uf.find(g.pieces[1])
+            ra, rb = (uf.find(index[pid]) for pid in g.pieces)
             if ra == rb:
                 continue
-            anchored = {uf.find(anchor) for (gid, anchor) in prim
+            anchored = {uf.find(index[anchor]) for (gid, anchor) in prim
                         if gid == g.id}
             if ra not in anchored and rb not in anchored:
                 continue
@@ -381,7 +380,7 @@ def handlebody_certificate(graph):
             progress = True
             break
 
-    roots = {uf.find(p.id) for p in graph.pieces}
+    roots = {uf.find(i) for i in range(len(index))}
     if len(roots) > 1:
         return ProofFailure(
             reason="no inference applies; {} clusters remain".format(

@@ -43,19 +43,60 @@ def _require(mapping, key, context):
 _REQUIRED = object()
 
 
-def _require_int(mapping, key, context, default=_REQUIRED):
-    """An integer field (bools are rejected); an optional field that is
-    absent or null gives ``default``."""
+def _is(value, types):
+    """isinstance, except that bools pass only when ``bool`` is listed:
+    JSON true is no number."""
+    return isinstance(value, types) and (bool in types
+                                         or not isinstance(value, bool))
+
+
+def _require_typed(mapping, key, context, types, label,
+                   default=_REQUIRED):
+    """A field holding one of ``types``; an optional field that is absent
+    or null gives ``default``."""
     if default is not _REQUIRED and mapping.get(key) is None:
         return default
     value = _require(mapping, key, context)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError("{}: field {!r} must be an integer, got "
-                            "{!r}".format(context, key, value))
+    if not _is(value, types):
+        raise ScenarioError("{}: field {!r} must be {}, got {!r}".format(
+            context, key, label, value))
     return value
 
 
+def _require_int(mapping, key, context, default=_REQUIRED):
+    return _require_typed(mapping, key, context, (int,), "an integer",
+                          default)
+
+
+def _require_str(mapping, key, context):
+    return _require_typed(mapping, key, context, (str,), "a string")
+
+
+def _require_list(mapping, key, context, entry_types, label,
+                  default=_REQUIRED):
+    """A list field whose entries are all of ``entry_types``."""
+    values = _require_typed(mapping, key, context, (list,), "a list",
+                            default)
+    for value in values or ():
+        if not _is(value, entry_types):
+            raise ScenarioError("{}: every entry of {!r} must be {}, got "
+                                "{!r}".format(context, key, label, value))
+    return values
+
+
+def _object(value, context):
+    if not isinstance(value, dict):
+        raise ScenarioError("{} must be an object, got {!r}".format(
+            context, value))
+    return value
+
+
+def _objects(mapping, key, context):
+    return _require_list(mapping, key, context, (dict,), "an object")
+
+
 def descriptor_from_dict(d, context="descriptor"):
+    _object(d, context)
     return SurfaceDescriptor(
         euler=_require_int(d, "euler", context),
         orientable=d.get("orientable", True),
@@ -74,27 +115,32 @@ def descriptor_to_dict(desc):
 
 
 def _patch_from_dict(d, context):
-    seams = d.get("seams")
-    return Patch(id=_require(d, "id", context),
+    seams = _require_list(d, "seams", context, (str,), "a seam id", None)
+    # An absent flag means oriented; null means unknown.
+    oriented = (_require_typed(d, "oriented", context, (bool, type(None)),
+                               "a boolean or null")
+                if "oriented" in d else True)
+    return Patch(id=_require_str(d, "id", context),
                  euler=_require_int(d, "euler", context),
                  seams=tuple(seams) if seams is not None else None,
-                 oriented=d.get("oriented", True))
+                 oriented=oriented)
 
 
 def patch_complex_from_dict(d):
     ctx = "patch_complex"
-    seams = [SeamCurve(id=_require(s, "id", ctx + ".seam"),
-                       quadrants=tuple(_require(s, "quadrants", ctx)),
+    seams = [SeamCurve(id=_require_str(s, "id", ctx + ".seam"),
+                       quadrants=tuple(_require_list(
+                           s, "quadrants", ctx, (str,), "a patch id")),
                        epsilon=_require(s, "epsilon", ctx),
-                       level_shift=s.get("level_shift", 1))
-             for s in _require(d, "seams", ctx)]
+                       level_shift=_require_int(s, "level_shift", ctx, 1))
+             for s in _objects(d, "seams", ctx)]
     f_desc = d.get("f_descriptor")
     g_desc = d.get("g_descriptor")
     return PatchComplex(
         f_patches=[_patch_from_dict(p, ctx) for p in
-                   _require(d, "f_patches", ctx)],
+                   _objects(d, "f_patches", ctx)],
         g_patches=[_patch_from_dict(p, ctx) for p in
-                   _require(d, "g_patches", ctx)],
+                   _objects(d, "g_patches", ctx)],
         seams=seams,
         f_descriptor=descriptor_from_dict(f_desc) if f_desc else None,
         g_descriptor=descriptor_from_dict(g_desc) if g_desc else None)
@@ -119,7 +165,7 @@ def patch_complex_to_dict(pc):
 
 def disk_pattern_from_dict(d):
     ctx = "disk_pattern"
-    return DiskPattern(word=_require(d, "word", ctx),
+    return DiskPattern(word=_require_str(d, "word", ctx),
                        copies=_require_int(d, "copies", ctx),
                        inner_closed=_require_int(d, "inner_closed", ctx, 0),
                        crossing_components=_require_int(
@@ -141,20 +187,22 @@ class SidesSection:
 
 
 def _side_from_dict(d, label):
+    ctx = "sides." + label
+    _object(d, ctx)
     return SideSystem(
         side=label,
         betas=tuple(BetaArc(side=label,
-                            index=_require(b, "index", "sides." + label),
-                            crossings=tuple(_require(b, "crossings",
-                                                     "sides." + label)))
-                    for b in _require(d, "betas", "sides." + label)),
-        alpha_count=_require_int(d, "alpha_count", "sides." + label, 0))
+                            index=_require_int(b, "index", ctx),
+                            crossings=tuple(_require_list(
+                                b, "crossings", ctx, (int,), "+1 or -1")))
+                    for b in _objects(d, "betas", ctx)),
+        alpha_count=_require_int(d, "alpha_count", ctx, 0))
 
 
 def sides_from_dict(d):
     eulers = None
     if "euler" in d:
-        e = d["euler"]
+        e = _object(d["euler"], "sides.euler")
         eulers = SumEulers(
             splitting=_require_int(e, "splitting", "sides.euler"),
             summand=_require_int(e, "summand", "sides.euler"),
@@ -170,10 +218,10 @@ def sides_from_dict(d):
 
 def inventory_from_dict(d):
     return IntersectionInventory(
-        curves=tuple(Curve(id=_require(c, "id", "inventory"),
+        curves=tuple(Curve(id=_require_str(c, "id", "inventory"),
                            essential_on_k=c.get("essential_on_k", True),
                            parity=c.get("parity"))
-                     for c in _require(d, "curves", "inventory")),
+                     for c in _objects(d, "curves", "inventory")),
         copies=_require_int(d, "copies", "inventory"))
 
 
@@ -244,18 +292,21 @@ def scenario_from_dict(d):
         raise ScenarioError(
             "unsupported schema version {!r} (expected {})".format(
                 version, SCHEMA_VERSION))
+
+    def section(key, parse):
+        return parse(_object(d[key], key)) if key in d else None
+
     return ScenarioFile(
         name=d.get("name", "unnamed"),
-        description=tuple(d.get("description", ())),
-        patch_complex=(patch_complex_from_dict(d["patch_complex"])
-                       if "patch_complex" in d else None),
-        disk_pattern=(disk_pattern_from_dict(d["disk_pattern"])
-                      if "disk_pattern" in d else None),
-        sides=sides_from_dict(d["sides"]) if "sides" in d else None,
-        inventory=(inventory_from_dict(d["inventory"])
-                   if "inventory" in d else None),
+        description=tuple(_require_typed(d, "description", "scenario",
+                                         (list,), "a list", ())),
+        patch_complex=section("patch_complex", patch_complex_from_dict),
+        disk_pattern=section("disk_pattern", disk_pattern_from_dict),
+        sides=section("sides", sides_from_dict),
+        inventory=section("inventory", inventory_from_dict),
         gluing_graph=d.get("gluing_graph"),
-        expectations=expectations_from_dict(d.get("expectations", {})))
+        expectations=expectations_from_dict(
+            _object(d.get("expectations", {}), "expectations")))
 
 
 def load_scenario(path):

@@ -13,6 +13,7 @@ from the combinatorics of the seams.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DomainError, MalformedComplexError
@@ -227,100 +228,96 @@ class ResolvedSurface:
 
 
 class UnionFind:
-    """Disjoint sets of hashable nodes.  A union keeps the root of its
-    first argument, which callers rely on to name and key merged sets."""
+    """Disjoint sets over the nodes 0..size-1: a list-backed forest with
+    path halving.  A union keeps the root of its first argument, which
+    callers rely on to name and key merged sets."""
 
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
+    def __init__(self, size):
+        self.parent = list(range(size))
 
     def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
     def union(self, x, y):
-        self.add(x)
-        self.add(y)
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[ry] = rx
 
 
-def seam_edges(seam, copies):
-    """Yield the adjacencies induced by one seam in the n-fold sum.
-
-    Nodes are ('F', patch_id) or ('G', patch_id, level) with levels
-    numbered 1..copies, level 1 innermost.  With no copies at all the two
-    F-sides simply re-join, recovering F itself.  Otherwise the selected
-    annuli replicate at every level: each F-side attaches to its paired
-    G-side at one extreme level, and between consecutive levels a strand
-    leaving the first G-side re-enters the second one level up (shift +1)
-    or down (shift -1).  Shift 0 attaches every copy directly to the
-    F-sides, with no interleaving.
-    """
-    (fa, ga), (fb, gb) = seam.chosen_pairs()
-    n = copies
-    if n == 0:
-        yield ("F", fa), ("F", fb)
-        return
-    if seam.level_shift == 1:
-        yield ("F", fa), ("G", ga, n)
-        yield ("F", fb), ("G", gb, 1)
-        for i in range(1, n):
-            yield ("G", ga, i), ("G", gb, i + 1)
-    elif seam.level_shift == -1:
-        yield ("F", fa), ("G", ga, 1)
-        yield ("F", fb), ("G", gb, n)
-        for i in range(2, n + 1):
-            yield ("G", ga, i), ("G", gb, i - 1)
-    else:
-        for i in range(1, n + 1):
-            yield ("F", fa), ("G", ga, i)
-            yield ("F", fb), ("G", gb, i)
-
-
 def resolve(pc, copies):
     """Compute the components of the sum of F with ``copies`` copies of G.
 
-    Components are found by a connected-component search over the node
-    set {(f_patch)} + {(g_patch, level)}; each component's Euler
-    characteristic is the sum of its member patch eulers (the gluing
-    annuli contribute nothing).  The total always equals
-    ``euler_f + copies * euler_g``.
+    Components are found by a union-find over integer nodes: F-patch i is
+    node i, and G-patch j at level L (levels 1..n, level 1 innermost) is
+    node nf + j*n + (L - 1), where nf = len(pc.f_patches) and n = copies.
+    Each seam contributes its edges by index arithmetic:
 
-    With ``copies == 0`` the result is F alone, its patches re-joined
-    along every seam.
+    * with no copies at all the two F-sides simply re-join, recovering F;
+    * otherwise the selected annuli replicate at every level.  For shift
+      +1 the first F-side attaches to its paired G-side at level n, the
+      second F-side to its G-side at level 1, and a strand leaving the
+      first G-side at level L re-enters the second at level L + 1;
+      shift -1 mirrors this (levels 1 and n, L to L - 1);
+    * shift 0 attaches every copy directly to both F-sides, with no
+      interleaving.
+
+    Each component's Euler characteristic is the sum of its member patch
+    eulers (the gluing annuli contribute nothing), so the total always
+    equals ``euler_f + copies * euler_g``.  Components are ordered by
+    (euler, pieces), ties by their first member node.
     """
     if copies < 0:
         raise DomainError("copies must be nonnegative")
-    uf = UnionFind()
-    for p in pc.f_patches:
-        uf.add(("F", p.id))
-    if copies > 0:
-        for p in pc.g_patches:
-            for level in range(1, copies + 1):
-                uf.add(("G", p.id, level))
+    n = copies
+    nf = len(pc.f_patches)
+    f_node = {p.id: i for i, p in enumerate(pc.f_patches)}
+    g_base = {p.id: nf + j * n for j, p in enumerate(pc.g_patches)}
+    size = nf + len(pc.g_patches) * n
+    uf = UnionFind(size)
+    union, find = uf.union, uf.find
     for seam in pc.seams:
-        for a, b in seam_edges(seam, copies):
-            uf.union(a, b)
+        (fa, ga), (fb, gb) = seam.chosen_pairs()
+        fa, fb = f_node[fa], f_node[fb]
+        if n == 0:
+            union(fa, fb)
+            continue
+        a, b = g_base[ga], g_base[gb]
+        if seam.level_shift == 1:
+            union(fa, a + n - 1)
+            union(fb, b)
+            for i in range(n - 1):
+                union(a + i, b + i + 1)
+        elif seam.level_shift == -1:
+            union(fa, a)
+            union(fb, b + n - 1)
+            for i in range(1, n):
+                union(a + i, b + i - 1)
+        else:
+            for i in range(n):
+                union(fa, a + i)
+                union(fb, b + i)
 
-    euler_by_id = {p.id: p.euler for p in pc.f_patches + pc.g_patches}
-    oriented_by_id = {p.id: p.oriented for p in pc.f_patches + pc.g_patches}
+    # Count each patch's nodes per root; dicts keep the order in which
+    # roots first occur, so groups come out in first-member order.
+    roots = list(map(find, range(size)))
     groups = {}
-    for node in uf.parent:
-        groups.setdefault(uf.find(node), []).append(node)
+    members = [(p, {roots[i]: 1}) for i, p in enumerate(pc.f_patches)]
+    members += [(p, Counter(roots[nf + j * n:nf + (j + 1) * n]))
+                for j, p in enumerate(pc.g_patches)]
+    for patch, counts in members:
+        for root, count in counts.items():
+            group = groups.get(root)
+            if group is None:
+                group = groups[root] = [0, 0, set()]
+            group[0] += count * patch.euler
+            group[1] += count
+            group[2].add(patch.oriented)
 
     components = []
-    for members in groups.values():
-        euler = sum(euler_by_id[m[1]] for m in members)
-        flags = {oriented_by_id[m[1]] for m in members}
+    for euler, pieces, flags in groups.values():
         if flags == {True}:
             orientable = True
         elif False in flags:
@@ -338,7 +335,7 @@ def resolve(pc, copies):
             orientable = None
         components.append(ResolvedComponent(
             euler=euler, closed=True, orientable=orientable, genus=genus,
-            piece_count=len(members)))
+            piece_count=pieces))
     components.sort(key=lambda c: c.sort_key())
 
     total = sum(c.euler for c in components)
@@ -416,9 +413,11 @@ def conjectured_period(pc):
     from a fixed start differ by the net shifts of closed loops; their gcd
     d splits the levels into d residue classes that rotate as n grows.
     The count is then expected to repeat with period lcm(d) over the
-    components.  When some component has no loop of nonzero shift the
-    class structure grows with n instead and no period is conjectured
-    (returns None).
+    components.  When some component has no loop of nonzero shift, no
+    period is conjectured and None is returned.  None does not mean the
+    count grows with n: levels are also joined through F-patches and
+    shift-0 seams, which this walk ignores, and on some such complexes
+    the count is periodic (often constant) all the same.
     """
     period = 1
     for _, drift in level_components(pc, pc.seams):

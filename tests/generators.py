@@ -1,6 +1,7 @@
 """Seeded random generators shared by the module and acceptance tests."""
 
 import random
+from dataclasses import replace
 
 from hakensum import (BetaArc, CanState, Curve, IntersectionInventory,
                       Patch, PatchComplex, SeamCurve, SideSystem,
@@ -28,6 +29,16 @@ def random_patch_complex(rng, max_f=3, max_g=3, max_seams=4,
         level_shift=rng.choice(shifts))
         for k in range(rng.randint(1, max_seams))]
     return PatchComplex(f_patches, g_patches, seams)
+
+
+def with_random_orientations(rng, pc):
+    """A copy of ``pc`` whose patches carry random orientation flags:
+    oriented half the time, otherwise non-orientable or unknown."""
+    flags = (True, True, False, None)
+    return PatchComplex(
+        [replace(p, oriented=rng.choice(flags)) for p in pc.f_patches],
+        [replace(p, oriented=rng.choice(flags)) for p in pc.g_patches],
+        pc.seams)
 
 
 def random_balanced_word(rng, max_pairs=6):

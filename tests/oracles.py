@@ -31,11 +31,8 @@ def _components(nodes, edges):
     return comps
 
 
-def brute_force_components(pc, copies):
-    """Instantiate every (patch, level) node and every seam edge.
-
-    Returns (component count, sorted euler multiset).
-    """
+def _sum_graph(pc, copies):
+    """Every (patch, level) node and every seam edge of F + nG."""
     nodes = [("F", p.id) for p in pc.f_patches]
     if copies > 0:
         nodes += [("G", p.id, lv) for p in pc.g_patches
@@ -66,10 +63,49 @@ def brute_force_components(pc, copies):
         for lv in range(1, copies + 1):
             if 1 <= lv + step <= copies:
                 edges.append((("G", ga, lv), ("G", gb, lv + step)))
+    return nodes, edges
+
+
+def brute_force_components(pc, copies):
+    """Instantiate every (patch, level) node and every seam edge.
+
+    Returns (component count, sorted euler multiset).
+    """
     euler = {p.id: p.euler for p in pc.f_patches + pc.g_patches}
-    comps = _components(nodes, edges)
+    comps = _components(*_sum_graph(pc, copies))
     multiset = sorted(sum(euler[m[1]] for m in comp) for comp in comps)
     return len(comps), tuple(multiset)
+
+
+def record_order(record):
+    """Total order on (euler, pieces, orientable) records; on ties
+    non-orientable comes before unknown before orientable."""
+    euler, pieces, orientable = record
+    return euler, pieces, {False: 0, None: 1, True: 2}[orientable]
+
+
+def brute_force_component_records(pc, copies):
+    """Sorted (euler, pieces, orientable) records of the components.
+
+    A component is non-orientable as soon as one member patch is declared
+    non-orientable.  It is orientable when every member is declared
+    oriented and its euler characteristic is one a closed orientable
+    surface can have (even, at most 2).  Otherwise it is unknown (None).
+    """
+    patch = {p.id: p for p in pc.f_patches + pc.g_patches}
+    records = []
+    for comp in _components(*_sum_graph(pc, copies)):
+        euler = sum(patch[m[1]].euler for m in comp)
+        declared = [patch[m[1]].oriented for m in comp]
+        if False in declared:
+            orientable = False
+        elif (all(flag is True for flag in declared)
+              and euler % 2 == 0 and euler <= 2):
+            orientable = True
+        else:
+            orientable = None
+        records.append((euler, len(comp), orientable))
+    return sorted(records, key=record_order)
 
 
 def splice_components(word, copies):

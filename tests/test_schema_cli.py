@@ -152,6 +152,54 @@ class TestNumericFields:
         assert "must be an integer" in capsys.readouterr().err
 
 
+RESOLVE = ["resolve", "--n", "2"]
+TYPE_FAULTS = [
+    ("doubled_handlebody", ("patch_complex",), 5, RESOLVE),
+    ("doubled_handlebody", ("patch_complex", "f_patches"), [5], RESOLVE),
+    ("doubled_handlebody", ("patch_complex", "seams"), [5], RESOLVE),
+    ("doubled_handlebody", ("patch_complex", "g_patches", 0, "id"), 3,
+     RESOLVE),
+    ("doubled_handlebody", ("patch_complex", "f_patches", 0, "seams"), 5,
+     RESOLVE),
+    ("doubled_handlebody", ("patch_complex", "f_patches", 0, "oriented"),
+     "yes", RESOLVE),
+    ("doubled_handlebody", ("patch_complex", "seams", 0, "id"), 3, RESOLVE),
+    ("doubled_handlebody", ("patch_complex", "seams", 0, "quadrants"), 5,
+     RESOLVE),
+    ("doubled_handlebody", ("patch_complex", "seams", 0, "level_shift"),
+     True, RESOLVE),
+    ("doubled_handlebody", ("patch_complex", "seams", 0, "level_shift"),
+     1.0, RESOLVE),
+    ("doubled_handlebody", ("disk_pattern", "word"), 7, ["trace"]),
+    ("doubled_handlebody", ("sides", "prime", "betas"), [5], ["shifts"]),
+    ("doubled_handlebody", ("sides", "prime", "betas", 0, "crossings"), 5,
+     ["shifts"]),
+    ("trivial_removal_demo", ("inventory", "curves"), [5], ["reduce"]),
+    ("trivial_removal_demo", ("inventory", "curves", 0, "id"), 5,
+     ["reduce"]),
+]
+
+
+class TestTypeFaults:
+    @pytest.mark.parametrize(
+        "builtin,path,bad,argv", TYPE_FAULTS,
+        ids=["{}={!r}".format(".".join(map(str, path)), bad)
+             for _, path, bad, _ in TYPE_FAULTS])
+    def test_wrong_type_is_input_error(self, tmp_path, capsys, builtin,
+                                       path, bad, argv):
+        raw = json.loads((schema.resources.files("hakensum") / "data"
+                          / (builtin + ".json")).read_text())
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        scenario = write_scenario(tmp_path, raw)
+        code, _ = run_cli(argv[0], "--scenario", scenario, *argv[1:])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestReports:
     def test_byte_identical_reports(self):
         args = ("resolve", "--scenario", "cg-pretzel-m5", "--n", "8",

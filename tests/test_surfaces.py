@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from hakensum import (DomainError, MalformedComplexError, Patch,
                       PatchComplex, SeamCurve, SurfaceDescriptor,
-                      conjectured_period, euler_of_sum, genus_from_euler,
-                      genus_of, resolve)
+                      absorb_trivial_seam, conjectured_period,
+                      euler_of_sum, genus_from_euler, genus_of, resolve)
 from hakensum.schema import load_builtin
+from hakensum.surfaces import UnionFind
 
-from generators import random_patch_complex
-from oracles import brute_force_components
+from generators import random_patch_complex, with_random_orientations
+from oracles import (brute_force_component_records, brute_force_components,
+                     record_order)
 
 
 class TestDescriptor:
@@ -115,6 +117,21 @@ class TestResolve:
                 assert resolved.component_count == count
                 assert resolved.euler_multiset() == multiset
 
+    def test_records_match_oracle_with_mixed_orientations(self, seed):
+        rng = random.Random(seed + 15)
+        for _ in range(20):
+            pc = with_random_orientations(rng, random_patch_complex(
+                rng, max_f=4, max_g=4, max_seams=6))
+            for n in list(range(0, 41)) + [97, 256]:
+                components = resolve(pc, n).components
+                records = [(c.euler, c.piece_count, c.orientable)
+                           for c in components]
+                assert (sorted(records, key=record_order)
+                        == brute_force_component_records(pc, n))
+                for c in components:
+                    assert c.genus == ((2 - c.euler) // 2 if c.orientable
+                                       else None)
+
     def test_euler_additivity_exact(self, seed):
         rng = random.Random(seed + 13)
         for _ in range(200):
@@ -158,3 +175,34 @@ class TestResolve:
         resolved = resolve(pc, 2)
         assert all(c.orientable is None for c in resolved.components)
         assert all(c.genus is None for c in resolved.components)
+
+
+class TestUnionFind:
+    def test_first_argument_root_survives(self):
+        uf = UnionFind(5)
+        uf.union(1, 0)
+        assert uf.find(0) == 1
+        uf.union(3, 2)
+        uf.union(2, 0)
+        assert [uf.find(x) for x in range(5)] == [3, 3, 3, 3, 4]
+        uf.union(4, 1)
+        assert [uf.find(x) for x in range(5)] == [4] * 5
+
+    def test_long_chain_needs_no_recursion(self):
+        size = 200_000
+        uf = UnionFind(size)
+        for x in range(size - 1):
+            # Each union hangs the whole chain so far under x + 1.
+            uf.union(x + 1, x)
+        assert uf.find(0) == size - 1
+        assert all(uf.find(x) == size - 1 for x in range(size))
+
+    def test_absorb_keeps_merged_patch_names(self):
+        pc = load_builtin("trivial-removal-demo").patch_complex
+        absorbed = absorb_trivial_seam(pc, "puncture")
+        assert [(p.id, p.euler) for p in absorbed.f_patches] == [
+            ("C.g_lower+C.g_upper+F.f_outer", -4),
+            ("C.g_disk+F.f_inner", 0)]
+        assert absorbed.seams[0].quadrants == (
+            "C.g_lower+C.g_upper+F.f_outer", "g_upper",
+            "C.g_disk+F.f_inner", "g_lower")
