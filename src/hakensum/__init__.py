@@ -1,21 +1,18 @@
 """Combinatorial calculus for iterated cut-and-paste sums of surfaces."""
 
-from .disk import DiskPattern, TraceReport, stack_word_from_arcs, trace
+from .disk import DiskPattern, TraceReport, trace
 from .errors import (CertificateError, DisconnectionError, DomainError,
                      GuardViolationError, HakenSumError,
-                     InconsistentLabelingError, InsufficientCopiesError,
-                     MalformedComplexError, RangeError, ScenarioError,
-                     UndefinedPeriodError)
+                     InsufficientCopiesError, MalformedComplexError,
+                     RangeError, ScenarioError, UndefinedPeriodError)
 from .reductions import (CanState, Curve, IntersectionInventory, Pack,
                          RunTrace, Slice, absorb_trivial_seam,
-                         absorption_level_span, applicable_moves,
-                         reduce_parities, remove_trivial, torus_periodicity,
-                         tuna_can_run, tuna_can_step)
+                         applicable_moves, reduce_parities, remove_trivial,
+                         torus_periodicity, tuna_can_run, tuna_can_step)
 from .scenarios import (AnnulusGluing, GluedPiece, GluingGraph,
-                        HandlebodyProof, ProofFailure, Report, TwistVerdict,
-                        casson_gordon_scenario, casson_twist_rule,
-                        doubled_handlebody_scenario, gluing_graph_from_dict,
-                        handlebody_certificate)
+                        HandlebodyProof, ProofFailure, Report,
+                        casson_gordon_scenario, doubled_handlebody_scenario,
+                        gluing_graph_from_dict, handlebody_certificate)
 from .shifts import (BetaArc, DualCurveCertificate, LiftWalk, ShiftProfile,
                      SideSystem, SumEulers, ZeroSideCertificate,
                      annulus_shift_contradiction, compute_thresholds,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import schema
 from .errors import HakenSumError
@@ -20,7 +21,7 @@ from .reductions import reduce_parities, remove_trivial, torus_periodicity
 from .scenarios import Report
 from .shifts import compute_thresholds, essential_certificate
 from .surfaces import conjectured_period, resolve
-from .disk import DiskPattern, trace
+from .disk import trace
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -120,8 +121,7 @@ def cmd_trace(args):
     scenario = _load(args.scenario)
     dp = scenario.require("disk_pattern")
     if args.n is not None:
-        dp = DiskPattern(word=dp.word, copies=args.n,
-                         inner_closed=dp.inner_closed)
+        dp = replace(dp, copies=args.n)
     traced = trace(dp)
     report = Report(
         command="trace", scenario=scenario.name, word=dp.word,

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InconsistentLabelingError
-
-PARITY_CHARS = ("+", "-")
+from .errors import DomainError
 
 
 def _check_balanced(word):
@@ -120,7 +118,6 @@ def trace(dp):
     [1 - min_prefix, copies - max_prefix], so at least copies - h survive
     (the excursion of a balanced word of length h is at most h).
     """
-    _check_balanced(dp.word)
     sums = prefix_sums(dp.word)
     high = max(sums)
     low = min(sums)
@@ -134,36 +131,3 @@ def trace(dp):
         extra_closed_bound=dp.crossing_components,
         copies=dp.copies,
     )
-
-
-def stack_word_from_arcs(arcs):
-    """Assemble the cyclic parity word from labelled arc endpoints.
-
-    Each arc must carry exactly two endpoints on the disk boundary, given
-    as (position, kind) pairs with kind 'ascend' or 'descend'; the two
-    ends of one arc always induce stacks of opposite parity, and input
-    violating that is rejected.  Positions order the stacks around the
-    boundary.
-    """
-    ends = []
-    for k, arc in enumerate(arcs):
-        if len(arc) != 2:
-            raise InconsistentLabelingError(
-                "arc {} must have exactly two boundary endpoints".format(k))
-        (pos_a, kind_a), (pos_b, kind_b) = arc
-        for kind in (kind_a, kind_b):
-            if kind not in ("ascend", "descend"):
-                raise InconsistentLabelingError(
-                    "unknown endpoint kind {!r}".format(kind))
-        if kind_a == kind_b:
-            raise InconsistentLabelingError(
-                "arc {} has two {}ing endpoints; the two ends of an arc "
-                "induce stacks of opposite parity".format(k, kind_a))
-        ends.append((pos_a, kind_a))
-        ends.append((pos_b, kind_b))
-    positions = [p for p, _ in ends]
-    if len(set(positions)) != len(positions):
-        raise InconsistentLabelingError("duplicate endpoint positions")
-    ends.sort()
-    return "".join("+" if kind == "ascend" else "-" for _, kind in ends)
-

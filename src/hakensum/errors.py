@@ -13,10 +13,6 @@ class DomainError(HakenSumError):
     """An operation was applied to a value outside its domain."""
 
 
-class InconsistentLabelingError(HakenSumError):
-    """Input labels contradict a structural law of the encoding."""
-
-
 class RangeError(HakenSumError):
     """A level index lies outside the admissible open interval."""
 

@@ -127,15 +127,6 @@ def _analyse_trivial_seam(pc, seam_id):
     return disk, neighbour, span
 
 
-def absorption_level_span(pc, seam_id):
-    """How many levels, minus one, the copy absorbed at this trivial seam
-    occupies.  Absorbing while ``copies`` parallel copies are present is
-    faithful only when copies >= max(2, span + 1): the absorbed copy must
-    fit inside the band.
-    """
-    return _analyse_trivial_seam(pc, seam_id)[2]
-
-
 def absorb_trivial_seam(pc, seam_id, copies=None):
     """Remove one trivial seam, absorbing one copy of G into the F side.
 
@@ -146,7 +137,9 @@ def absorb_trivial_seam(pc, seam_id, copies=None):
     the seam disappears, the disk patch merges into its neighbour, and one
     copy of every G patch joins the F side.  See _analyse_trivial_seam for
     the structural conditions.  When ``copies`` is given, the band is also
-    checked to be wide enough to hold the absorbed copy's level span.
+    checked to be wide enough to hold the absorbed copy: absorbing is
+    faithful only when copies >= max(2, span + 1), where span + 1 is the
+    number of levels that copy occupies.
     """
     disk, neighbour, span = _analyse_trivial_seam(pc, seam_id)
     if copies is not None and copies < max(2, span + 1):
@@ -385,13 +378,11 @@ def torus_periodicity(period, copy_range, euler_splitting=None):
 class Pack:
     """Move one outside component into a can.
 
-    ``can`` and ``disk_side`` record which can received the material and
-    which of the two sub-disks bounded the pushed ball; neither affects
+    ``can`` records which can received the material; it does not affect
     the abstract state, which only counts outside components.
     """
 
     can: int = 0
-    disk_side: str = "outer"
 
 
 @dataclass(frozen=True)
@@ -412,7 +403,6 @@ class CanState:
 
     cans: tuple
     outside_components: int
-    history: tuple = ()
 
     def __post_init__(self):
         seen = set()
@@ -447,8 +437,7 @@ def tuna_can_step(state, move):
         if not 0 <= move.can < len(state.cans):
             raise GuardViolationError("pack names a missing can")
         new = CanState(cans=state.cans,
-                       outside_components=state.outside_components - 1,
-                       history=state.history + (move,))
+                       outside_components=state.outside_components - 1)
     elif isinstance(move, Slice):
         if not 0 <= move.can < len(state.cans):
             raise GuardViolationError("slice names a missing can")
@@ -462,8 +451,7 @@ def tuna_can_step(state, move):
         cans = (state.cans[:move.can] + (part, rest)
                 + state.cans[move.can + 1:])
         new = CanState(cans=cans,
-                       outside_components=state.outside_components,
-                       history=state.history + (move,))
+                       outside_components=state.outside_components)
     else:
         raise GuardViolationError("unknown move {!r}".format(move))
     if not new.measure() < state.measure():

@@ -8,13 +8,11 @@ regluing; here the summand has genus 3 and the genus grows by two per
 copy, starting from 3.  Both are verified by resolving curated seam
 complexes and by plain Euler arithmetic.  The module also checks the
 symbolic handlebody-gluing certificate used to see that the second
-family's sums really are splittings, and the five-twist hypothesis rule
-for strong irreducibility.
+family's sums really are splittings.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from . import schema
@@ -393,23 +391,3 @@ def handlebody_certificate(graph):
             "genus bookkeeping violated: {} != 1 - {}".format(
                 final_genus, euler_total))
     return HandlebodyProof(steps=tuple(steps), genus=final_genus)
-
-
-class TwistVerdict(enum.Enum):
-    STRONGLY_IRREDUCIBLE = "strongly-irreducible"
-    INCONCLUSIVE = "inconclusive"
-
-
-def casson_twist_rule(reducible_in_double, twist_count,
-                      disk_busting_both_sides):
-    """Symbolic hypothesis check for the five-twist criterion.
-
-    Regluing along a curve on a reducible splitting whose complement in
-    the surface is incompressible, with at least five twists, yields a
-    strongly irreducible splitting.  This checks the hypotheses only; it
-    decides no topology.
-    """
-    if (reducible_in_double and twist_count >= 5
-            and disk_busting_both_sides):
-        return TwistVerdict.STRONGLY_IRREDUCIBLE
-    return TwistVerdict.INCONCLUSIVE

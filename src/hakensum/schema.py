@@ -18,7 +18,7 @@ from importlib import resources
 
 from .disk import DiskPattern
 from .errors import ScenarioError
-from .reductions import CanState, Curve, IntersectionInventory
+from .reductions import Curve, IntersectionInventory
 from .shifts import BetaArc, SideSystem, SumEulers
 from .surfaces import Patch, PatchComplex, SeamCurve, SurfaceDescriptor
 
@@ -27,9 +27,14 @@ KNOWN_SECTIONS = {
     "version", "name", "description", "patch_complex", "disk_pattern",
     "sides", "inventory", "gluing_graph", "expectations",
 }
+_INT = ((int,), "an integer")
+# Each expectation's typed fields, besides its provenance tag.
 KNOWN_EXPECTATIONS = {
-    "genus", "connected", "copy_parity", "residue_classes",
-    "euler_constant",
+    "genus": {"base": _INT, "per_copy": _INT},
+    "connected": {"value": ((bool,), "a boolean")},
+    "copy_parity": {"value": ((str,), "a string")},
+    "residue_classes": {"value": _INT},
+    "euler_constant": {"value": _INT},
 }
 PROVENANCE_TAGS = ("reference", "derived")
 
@@ -95,23 +100,20 @@ def _objects(mapping, key, context):
     return _require_list(mapping, key, context, (dict,), "an object")
 
 
+def _flag(mapping, key, context):
+    """A boolean flag that is true when absent; null is no boolean."""
+    if key not in mapping:
+        return True
+    return _require_typed(mapping, key, context, (bool,), "a boolean")
+
+
 def descriptor_from_dict(d, context="descriptor"):
     _object(d, context)
     return SurfaceDescriptor(
         euler=_require_int(d, "euler", context),
-        orientable=d.get("orientable", True),
+        orientable=_flag(d, "orientable", context),
         boundary_components=_require_int(d, "boundary_components", context,
-                                         0),
-        separating=d.get("separating", False))
-
-
-def descriptor_to_dict(desc):
-    return {
-        "euler": desc.euler,
-        "orientable": desc.orientable,
-        "boundary_components": desc.boundary_components,
-        "separating": desc.separating,
-    }
+                                         0))
 
 
 def _patch_from_dict(d, context):
@@ -146,23 +148,6 @@ def patch_complex_from_dict(d):
         g_descriptor=descriptor_from_dict(g_desc) if g_desc else None)
 
 
-def patch_complex_to_dict(pc):
-    out = {
-        "f_patches": [{"id": p.id, "euler": p.euler,
-                       "oriented": p.oriented} for p in pc.f_patches],
-        "g_patches": [{"id": p.id, "euler": p.euler,
-                       "oriented": p.oriented} for p in pc.g_patches],
-        "seams": [{"id": s.id, "quadrants": list(s.quadrants),
-                   "epsilon": s.epsilon, "level_shift": s.level_shift}
-                  for s in pc.seams],
-    }
-    if pc.f_descriptor:
-        out["f_descriptor"] = descriptor_to_dict(pc.f_descriptor)
-    if pc.g_descriptor:
-        out["g_descriptor"] = descriptor_to_dict(pc.g_descriptor)
-    return out
-
-
 def disk_pattern_from_dict(d):
     ctx = "disk_pattern"
     return DiskPattern(word=_require_str(d, "word", ctx),
@@ -170,12 +155,6 @@ def disk_pattern_from_dict(d):
                        inner_closed=_require_int(d, "inner_closed", ctx, 0),
                        crossing_components=_require_int(
                            d, "crossing_components", ctx, None))
-
-
-def disk_pattern_to_dict(dp):
-    return {"word": dp.word, "copies": dp.copies,
-            "inner_closed": dp.inner_closed,
-            "crossing_components": dp.crossing_components}
 
 
 @dataclass(frozen=True)
@@ -219,31 +198,11 @@ def sides_from_dict(d):
 def inventory_from_dict(d):
     return IntersectionInventory(
         curves=tuple(Curve(id=_require_str(c, "id", "inventory"),
-                           essential_on_k=c.get("essential_on_k", True),
+                           essential_on_k=_flag(c, "essential_on_k",
+                                                "inventory"),
                            parity=c.get("parity"))
                      for c in _objects(d, "curves", "inventory")),
         copies=_require_int(d, "copies", "inventory"))
-
-
-def inventory_to_dict(inv):
-    return {"copies": inv.copies,
-            "curves": [{"id": c.id, "essential_on_k": c.essential_on_k,
-                        "parity": c.parity} for c in inv.curves]}
-
-
-def can_state_from_dict(d):
-    """Deserialize a packing/slicing state (cans of curve ids plus the
-    outside component count).  States travel alongside scenario files but
-    are not a file section of their own."""
-    return CanState(
-        cans=tuple(frozenset(can) for can in _require(d, "cans",
-                                                      "can_state")),
-        outside_components=_require(d, "outside_components", "can_state"))
-
-
-def can_state_to_dict(state):
-    return {"cans": [sorted(can) for can in state.cans],
-            "outside_components": state.outside_components}
 
 
 def expectations_from_dict(d):
@@ -258,6 +217,9 @@ def expectations_from_dict(d):
             raise ScenarioError(
                 "expectation {!r} needs a provenance tag 'source' in "
                 "{}".format(key, PROVENANCE_TAGS))
+        for field, (types, label) in KNOWN_EXPECTATIONS[key].items():
+            _require_typed(entry, field, "expectations." + key, types,
+                           label)
     return dict(d)
 
 

@@ -24,17 +24,11 @@ LEVEL_SHIFTS = (-1, 0, 1)
 
 @dataclass(frozen=True)
 class SurfaceDescriptor:
-    """Coarse invariants of a single surface.
-
-    ``separating`` is declared metadata: a patch complex does not embed in
-    an ambient three-manifold, so separating-ness can never be computed
-    from it.
-    """
+    """Coarse invariants of a single surface."""
 
     euler: int
     orientable: bool = True
     boundary_components: int = 0
-    separating: bool = False
 
     def __post_init__(self):
         if self.boundary_components < 0:

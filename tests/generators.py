@@ -5,8 +5,8 @@ from dataclasses import replace
 
 from hakensum import (BetaArc, CanState, Curve, IntersectionInventory,
                       Patch, PatchComplex, SeamCurve, SideSystem,
-                      absorb_trivial_seam, absorption_level_span)
-from hakensum.errors import MalformedComplexError
+                      absorb_trivial_seam)
+from hakensum.errors import InsufficientCopiesError, MalformedComplexError
 from hakensum.scenarios import AnnulusGluing, GluedPiece, GluingGraph
 
 
@@ -94,9 +94,16 @@ def random_complex_with_trivial_seams(rng, trivial_count=1,
             probe = pc
             needed = len(trivial_ids) + 1
             for step, sid in enumerate(trivial_ids):
-                span = absorption_level_span(probe, sid)
-                needed = max(needed, step + max(2, span + 1))
-                probe = absorb_trivial_seam(probe, sid)
+                # The least band that holds the absorbed copy.
+                least = 2
+                while True:
+                    try:
+                        absorbed = absorb_trivial_seam(probe, sid, least)
+                        break
+                    except InsufficientCopiesError:
+                        least += 1
+                needed = max(needed, step + least)
+                probe = absorbed
         except MalformedComplexError:
             continue
         copies = needed + rng.randint(0, 3)

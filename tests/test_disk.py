@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hakensum import (DiskPattern, DomainError, InconsistentLabelingError,
-                      stack_word_from_arcs, trace)
+from hakensum import DiskPattern, DomainError, trace
 from hakensum.disk import prefix_sums
 
 from generators import all_balanced_words, random_balanced_word
@@ -107,44 +106,6 @@ class TestTrace:
             gammas, arcs, extra = splice_components(word, copies)
             assert set(report.gamma_levels) == gammas
             assert report.arc_count == arcs
-
-
-class TestStackWord:
-    def test_single_arc(self):
-        word = stack_word_from_arcs([((0, "ascend"), (1, "descend"))])
-        assert word == "+-"
-
-    def test_no_arcs(self):
-        assert stack_word_from_arcs([]) == ""
-
-    def test_positions_order_the_word(self):
-        word = stack_word_from_arcs([
-            ((3, "ascend"), (0, "descend")),
-            ((1, "ascend"), (2, "descend")),
-        ])
-        assert word == "-+-+"
-
-    def test_same_parity_endpoints_rejected(self):
-        with pytest.raises(InconsistentLabelingError):
-            stack_word_from_arcs([((0, "ascend"), (1, "ascend"))])
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(InconsistentLabelingError):
-            stack_word_from_arcs([((0, "up"), (1, "descend"))])
-
-    def test_random_arcs_balance(self, seed):
-        rng = random.Random(seed + 22)
-        for _ in range(100):
-            k = rng.randint(0, 8)
-            positions = list(range(2 * k))
-            rng.shuffle(positions)
-            arcs = []
-            for a in range(k):
-                arcs.append(((positions[2 * a], "ascend"),
-                             (positions[2 * a + 1], "descend")))
-            word = stack_word_from_arcs(arcs)
-            assert len(word) == 2 * k
-            assert word.count("+") == k
 
 
 class TestAnnuli:

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from hakensum import (AnnulusGluing, GluedPiece, GluingGraph, ScenarioError,
-                      TwistVerdict, casson_gordon_scenario,
-                      casson_twist_rule, doubled_handlebody_scenario,
+                      casson_gordon_scenario, doubled_handlebody_scenario,
                       gluing_graph_from_dict, handlebody_certificate)
 from hakensum.schema import load_builtin
 
@@ -190,18 +189,3 @@ class TestHandlebodyCertificate:
     def test_annulus_must_join_two_distinct_pieces(self):
         with pytest.raises(ScenarioError):
             AnnulusGluing(id="e", pieces=("a", "a"))
-
-
-class TestTwistRule:
-    def test_all_hypotheses_hold(self):
-        verdict = casson_twist_rule(True, 5, True)
-        assert verdict is TwistVerdict.STRONGLY_IRREDUCIBLE
-
-    def test_four_twists_inconclusive(self):
-        assert casson_twist_rule(True, 4, True) is TwistVerdict.INCONCLUSIVE
-
-    def test_irreducible_double_inconclusive(self):
-        assert casson_twist_rule(False, 7, True) is TwistVerdict.INCONCLUSIVE
-
-    def test_not_disk_busting_inconclusive(self):
-        assert casson_twist_rule(True, 9, False) is TwistVerdict.INCONCLUSIVE

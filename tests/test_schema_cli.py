@@ -47,21 +47,6 @@ class TestSchema:
                 "expectations": {"connected": {"value": True}},
             })
 
-    def test_complex_round_trip(self):
-        pc = schema.load_builtin("cg-pretzel-m5").patch_complex
-        again = schema.patch_complex_from_dict(
-            schema.patch_complex_to_dict(pc))
-        assert again.euler_f == pc.euler_f
-        assert [s.id for s in again.seams] == [s.id for s in pc.seams]
-
-    def test_can_state_round_trip(self):
-        from hakensum import CanState
-        state = CanState(cans=(frozenset({1, 3}), frozenset({2})),
-                         outside_components=2)
-        again = schema.can_state_from_dict(schema.can_state_to_dict(state))
-        assert again.cans == state.cans
-        assert again.outside_components == 2
-
 
 class TestExitCodes:
     def test_success_is_zero(self):
@@ -152,7 +137,16 @@ class TestNumericFields:
         assert "must be an integer" in capsys.readouterr().err
 
 
+class _Missing:
+    """Marks a type fault that deletes the field instead of setting it."""
+
+    def __repr__(self):
+        return "<missing>"
+
+
+MISSING = _Missing()
 RESOLVE = ["resolve", "--n", "2"]
+SWEEP = ["sweep", "--from", "1", "--to", "4"]
 TYPE_FAULTS = [
     ("doubled_handlebody", ("patch_complex",), 5, RESOLVE),
     ("doubled_handlebody", ("patch_complex", "f_patches"), [5], RESOLVE),
@@ -177,6 +171,24 @@ TYPE_FAULTS = [
     ("trivial_removal_demo", ("inventory", "curves"), [5], ["reduce"]),
     ("trivial_removal_demo", ("inventory", "curves", 0, "id"), 5,
      ["reduce"]),
+    ("trivial_removal_demo",
+     ("inventory", "curves", 1, "essential_on_k"), "false", ["reduce"]),
+    ("doubled_handlebody",
+     ("patch_complex", "f_descriptor", "orientable"), "no", RESOLVE),
+    ("doubled_handlebody",
+     ("patch_complex", "g_descriptor", "orientable"), None, RESOLVE),
+    ("solid_torus_reduced", ("expectations", "euler_constant", "value"),
+     "x", SWEEP),
+    ("solid_torus_reduced", ("expectations", "residue_classes", "value"),
+     3.0, SWEEP),
+    ("doubled_handlebody", ("expectations", "genus", "per_copy"), "2",
+     RESOLVE),
+    ("doubled_handlebody", ("expectations", "genus", "base"), MISSING,
+     RESOLVE),
+    ("doubled_handlebody", ("expectations", "connected", "value"), 1,
+     RESOLVE),
+    ("doubled_handlebody", ("expectations", "copy_parity", "value"),
+     ["even"], RESOLVE),
 ]
 
 
@@ -192,7 +204,10 @@ class TestTypeFaults:
         target = raw
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = bad
+        if bad is MISSING:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = bad
         scenario = write_scenario(tmp_path, raw)
         code, _ = run_cli(argv[0], "--scenario", scenario, *argv[1:])
         err = capsys.readouterr().err
@@ -232,6 +247,18 @@ class TestReports:
         report = json.loads(out)
         assert report["gamma_count"] == 5
         assert report["arc_count"] == 0
+
+    def test_trace_copy_override_keeps_declared_components(self, tmp_path):
+        path = write_scenario(tmp_path, {
+            "version": 1, "name": "declared-components",
+            "disk_pattern": {"word": "+-+-", "copies": 12,
+                             "inner_closed": 1, "crossing_components": 5},
+        })
+        _, plain = run_cli("trace", "--scenario", path)
+        code, overridden = run_cli("trace", "--scenario", path, "--n", "12")
+        assert code == EXIT_OK
+        assert "extra_closed_bound: 5" in plain
+        assert overridden == plain
 
     def test_trace_copy_override(self):
         code, out = run_cli("trace", "--scenario", "doubled-handlebody",
