@@ -254,6 +254,18 @@ class TestTunaCan:
         run = tuna_can_run(state)
         assert run.moves == ()
 
+    def test_moves_replay_to_final_state(self, seed):
+        # The run's move list is its only record of the path taken.
+        rng = random.Random(seed + 46)
+        for _ in range(100):
+            state = random_can_state(rng)
+            run = tuna_can_run(state, lambda st, moves: rng.choice(moves))
+            assert len(run.moves) == run.slice_count + run.pack_count
+            replayed = run.initial
+            for move in run.moves:
+                replayed = tuna_can_step(replayed, move)
+            assert replayed == run.final
+
     def test_measure_strictly_decreases(self):
         state = CanState(cans=(frozenset({1, 2, 3}),), outside_components=2)
         measures = [state.measure()]

@@ -47,6 +47,13 @@ class TestSchema:
                 "expectations": {"connected": {"value": True}},
             })
 
+    def test_separating_key_is_ignored(self):
+        # Files written before the flag was dropped still load unchanged.
+        plain = {"euler": -2, "orientable": True, "boundary_components": 2}
+        flagged = dict(plain, separating=True)
+        assert (schema.descriptor_from_dict(flagged)
+                == schema.descriptor_from_dict(plain))
+
 
 class TestExitCodes:
     def test_success_is_zero(self):
@@ -69,6 +76,15 @@ class TestExitCodes:
         path = write_scenario(tmp_path, {"version": 1, "name": "empty"})
         code, _ = run_cli("resolve", "--scenario", path, "--n", "2")
         assert code == EXIT_INPUT
+
+    def test_unbalanced_word_is_input_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "version": 1, "name": "unbalanced",
+            "disk_pattern": {"word": "++-", "copies": 3},
+        })
+        code, _ = run_cli("trace", "--scenario", path)
+        assert code == EXIT_INPUT
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_usage_error_is_input_error(self):
         code, _ = run_cli("resolve", "--scenario", "cg-pretzel-m5")
