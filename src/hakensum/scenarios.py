@@ -13,6 +13,7 @@ family's sums really are splittings.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from . import schema
@@ -230,6 +231,11 @@ class GluingGraph:
         ids = [p.id for p in self.pieces]
         if len(set(ids)) != len(ids):
             raise ScenarioError("duplicate piece id")
+        annuli = [g.id for g in self.gluings]
+        if len(set(annuli)) != len(annuli):
+            # A primitivity fact is keyed by annulus id, so a repeated id
+            # would lend one annulus's fact to the other.
+            raise ScenarioError("duplicate annulus id")
         known = set(ids)
         for g in self.gluings:
             for pid in g.pieces:
@@ -245,16 +251,43 @@ class GluingGraph:
             raise ScenarioError("gluing graph is disconnected")
 
 
+def _piece_from_dict(d, context):
+    return GluedPiece(
+        id=schema._require_str(d, "id", context),
+        kind=schema._require_str(d, "kind", context),
+        genus=schema._require_int(d, "genus", context, None),
+        base_euler=schema._require_int(d, "base_euler", context, None))
+
+
+def _gluing_from_dict(d, context):
+    ends = schema._require_list(d, "pieces", context, (str,), "a piece id")
+    if len(ends) != 2:
+        raise ScenarioError(
+            "{}: field 'pieces' must list two piece ids, got {!r}".format(
+                context, ends))
+    return AnnulusGluing(
+        id=schema._require_str(d, "id", context),
+        pieces=tuple(ends),
+        primitive_in=schema._require_typed(
+            d, "primitive_in", context, (str,), "a string or null", None),
+        incompressible=schema._flag(d, "incompressible", context, False))
+
+
 def gluing_graph_from_dict(d):
-    pieces = [GluedPiece(id=p["id"], kind=p["kind"],
-                         genus=p.get("genus"),
-                         base_euler=p.get("base_euler"))
-              for p in d.get("pieces", ())]
-    gluings = [AnnulusGluing(id=g["id"], pieces=tuple(g["pieces"]),
-                             primitive_in=g.get("primitive_in"),
-                             incompressible=g.get("incompressible", False))
-               for g in d.get("gluings", ())]
-    return GluingGraph(pieces=tuple(pieces), gluings=tuple(gluings))
+    """Build a GluingGraph from its scenario-file form.  A field of the
+    wrong type raises ScenarioError: ids, kinds and the two piece ids of
+    an annulus are strings, ``genus`` and ``base_euler`` ints,
+    ``primitive_in`` a string or null and ``incompressible`` a boolean."""
+    ctx = "gluing_graph"
+    schema._object(d, ctx)
+    pieces = schema._require_list(d, "pieces", ctx, (dict,), "an object",
+                                  ())
+    gluings = schema._require_list(d, "gluings", ctx, (dict,), "an object",
+                                   ())
+    return GluingGraph(
+        pieces=tuple(_piece_from_dict(p, ctx + ".piece") for p in pieces),
+        gluings=tuple(_gluing_from_dict(g, ctx + ".gluing")
+                      for g in gluings))
 
 
 @dataclass(frozen=True)
@@ -298,6 +331,16 @@ def handlebody_certificate(graph):
       its other annulus is primitive in that cluster (primitivity is
       carried across the product).
 
+    The rules are Horn clauses, applied by forward chaining.  Every
+    primitivity fact names an end of its annulus, so an annulus with a
+    fact stays enabled until it turns internal: a heap of enabled annuli
+    keyed by id pops, once internal ones are discarded, the annulus a
+    rescan by id would merge next.  A product's first merge is along one
+    of its own two annuli, and only then can one be internal while the
+    other is not; so a merge re-examines just the products at the ends
+    of its annulus.  With p pieces and a annuli the proof costs
+    O((p + a) log(p + a)).
+
     On success the genus always equals 1 - (sum of the piece eulers),
     since every gluing annulus has euler zero.  When no rule applies and
     more than one cluster remains, a failure is returned instead.
@@ -305,13 +348,19 @@ def handlebody_certificate(graph):
     if not graph.pieces:
         raise ScenarioError("empty gluing graph")
 
-    index = {p.id: i for i, p in enumerate(graph.pieces)}
-    uf = UnionFind(len(index))
+    pieces, gluings = graph.pieces, graph.gluings
+    index = {p.id: i for i, p in enumerate(pieces)}
+    ends = [(index[g.pieces[0]], index[g.pieces[1]]) for g in gluings]
+    incident = [[] for _ in pieces]
+    for pos, (a, b) in enumerate(ends):
+        incident[a].append(pos)
+        incident[b].append(pos)
+    uf = UnionFind(len(pieces))
     # Keyed by cluster root: a merge keeps the root of its first argument.
-    genus_of_cluster = [1 - p.euler for p in graph.pieces]
+    genus_of_cluster = [1 - p.euler for p in pieces]
 
     steps = []
-    for p in sorted(graph.pieces, key=lambda p: p.id):
+    for p in sorted(pieces, key=lambda p: p.id):
         if p.kind == "product":
             steps.append(ProofStep(
                 rule="product-is-handlebody",
@@ -325,67 +374,49 @@ def handlebody_certificate(graph):
                 genus=1))
 
     # Primitivity facts anchored to pieces: the annulus is primitive in
-    # whatever cluster currently contains the anchor.
+    # whatever cluster currently contains the anchor, one of its ends.
     prim = {(g.id, g.primitive_in)
-            for g in graph.gluings if g.primitive_in is not None}
+            for g in gluings if g.primitive_in is not None}
+    enabled = [(g.id, pos) for pos, g in enumerate(gluings)
+               if g.primitive_in is not None]
+    heapq.heapify(enabled)
 
-    def internal(g):
-        return uf.find(index[g.pieces[0]]) == uf.find(index[g.pieces[1]])
-
-    def transfer_across_products():
-        added = True
-        while added:
-            added = False
-            for p in sorted(graph.pieces, key=lambda p: p.id):
-                if p.kind != "product":
-                    continue
-                incident = [g for g in graph.gluings if p.id in g.pieces]
-                if len(incident) != 2:
-                    continue
-                a, b = incident
-                for inside, outside in ((a, b), (b, a)):
-                    if internal(inside) and not internal(outside):
-                        fact = (outside.id, p.id)
-                        if fact not in prim:
-                            prim.add(fact)
-                            steps.append(ProofStep(
-                                rule="primitivity-across-product",
-                                detail="annulus {} is primitive in the "
-                                       "cluster absorbing product {}".format(
-                                           outside.id, p.id)))
-                            added = True
-
-    transfer_across_products()
-    progress = True
-    while progress:
-        progress = False
-        for g in sorted(graph.gluings, key=lambda g: g.id):
-            ra, rb = (uf.find(index[pid]) for pid in g.pieces)
-            if ra == rb:
+    while enabled:
+        gid, pos = heapq.heappop(enabled)
+        ra, rb = (uf.find(i) for i in ends[pos])
+        if ra == rb:
+            continue
+        merged_genus = genus_of_cluster[ra] + genus_of_cluster[rb] - 1
+        uf.union(ra, rb)
+        genus_of_cluster[ra] = merged_genus
+        steps.append(ProofStep(
+            rule="merge-primitive-annulus",
+            detail="glue along annulus {}".format(gid),
+            genus=merged_genus))
+        products = [i for i in ends[pos] if pieces[i].kind == "product"
+                    and len(incident[i]) == 2]
+        for i in sorted(products, key=lambda i: pieces[i].id):
+            a, b = incident[i]
+            outside = b if a == pos else a
+            if uf.find(ends[outside][0]) == uf.find(ends[outside][1]):
                 continue
-            anchored = {uf.find(index[anchor]) for (gid, anchor) in prim
-                        if gid == g.id}
-            if ra not in anchored and rb not in anchored:
-                continue
-            merged_genus = genus_of_cluster[ra] + genus_of_cluster[rb] - 1
-            uf.union(ra, rb)
-            genus_of_cluster[ra] = merged_genus
-            steps.append(ProofStep(
-                rule="merge-primitive-annulus",
-                detail="glue along annulus {}".format(g.id),
-                genus=merged_genus))
-            transfer_across_products()
-            progress = True
-            break
+            fact = (gluings[outside].id, pieces[i].id)
+            if fact not in prim:
+                prim.add(fact)
+                heapq.heappush(enabled, (fact[0], outside))
+                steps.append(ProofStep(
+                    rule="primitivity-across-product",
+                    detail="annulus {} is primitive in the cluster "
+                           "absorbing product {}".format(*fact)))
 
-    roots = {uf.find(i) for i in range(len(index))}
+    roots = {uf.find(i) for i in range(len(pieces))}
     if len(roots) > 1:
         return ProofFailure(
             reason="no inference applies; {} clusters remain".format(
                 len(roots)),
             cluster_count=len(roots))
     final_genus = genus_of_cluster[roots.pop()]
-    euler_total = sum(p.euler for p in graph.pieces)
+    euler_total = sum(p.euler for p in pieces)
     if final_genus != 1 - euler_total:
         raise AssertionError(
             "genus bookkeeping violated: {} != 1 - {}".format(

@@ -100,10 +100,11 @@ def _objects(mapping, key, context):
     return _require_list(mapping, key, context, (dict,), "an object")
 
 
-def _flag(mapping, key, context):
-    """A boolean flag that is true when absent; null is no boolean."""
+def _flag(mapping, key, context, default=True):
+    """A boolean flag that is ``default`` (true) when absent; null is no
+    boolean."""
     if key not in mapping:
-        return True
+        return default
     return _require_typed(mapping, key, context, (bool,), "a boolean")
 
 

@@ -160,12 +160,12 @@ def random_can_state(rng, max_curves=6, max_outside=3):
                     outside_components=rng.randint(0, max_outside))
 
 
-def random_provable_graph(rng, max_pieces=5):
+def random_provable_graph(rng, max_pieces=5, min_pieces=1):
     """A tree of pieces where every annulus is primitive in an endpoint.
 
     Such graphs are always provably handlebodies: any merge order works.
     """
-    count = rng.randint(1, max_pieces)
+    count = rng.randint(min_pieces, max_pieces)
     pieces = []
     for i in range(count):
         kind = rng.choice(("handlebody", "handlebody", "product",
@@ -186,4 +186,54 @@ def random_provable_graph(rng, max_pieces=5):
         gluings.append(AnnulusGluing(
             id="a{}".format(i), pieces=ends,
             primitive_in=rng.choice(ends)))
+    return GluingGraph(pieces=tuple(pieces), gluings=tuple(gluings))
+
+
+def random_gluing_graph(rng, max_pieces=200):
+    """A connected gluing graph that may or may not have a proof.
+
+    A random tree in which some edges run through a product piece of
+    their own (so that product has exactly two annuli), plus parallel
+    and extra annuli.  Each annulus is primitive in a random end, or,
+    at a rate drawn per graph (none, few or many), in neither.  Piece
+    and annulus ids are drawn out of input order, and the inputs are
+    shuffled.
+    """
+    count = rng.randint(1, max_pieces)
+    piece_ids = ["p{:04d}".format(i) for i in rng.sample(range(10000),
+                                                         count)]
+    annulus_ids = iter("a{:05d}".format(i)
+                       for i in rng.sample(range(100000), 4 * count))
+    pieces = []
+    for pid in piece_ids:
+        kind = rng.choice(("handlebody", "product", "solid_torus"))
+        pieces.append(GluedPiece(
+            id=pid, kind=kind,
+            genus=rng.randint(0, 4) if kind == "handlebody" else None,
+            base_euler=rng.randint(-4, 1) if kind == "product" else None))
+    gluings = []
+    unknown = rng.choice((0.0, 0.02, 0.3))
+
+    def glue(a, b):
+        primitive = None if rng.random() < unknown else rng.choice((a, b))
+        gluings.append(AnnulusGluing(id=next(annulus_ids), pieces=(a, b),
+                                     primitive_in=primitive))
+
+    for i in range(1, count):
+        glue(piece_ids[rng.randrange(i)], piece_ids[i])
+    for _ in range(rng.randint(0, count // 3)):
+        a, b = rng.sample(piece_ids, 2)
+        if rng.random() < 0.5:
+            # A fresh product on a path of its own between a and b.
+            mid = "q{:04d}".format(len(pieces))
+            pieces.append(GluedPiece(id=mid, kind="product",
+                                     base_euler=rng.randint(-4, 1)))
+            glue(a, mid)
+            glue(mid, b)
+        else:
+            # A parallel annulus or an extra one.
+            glue(*(rng.choice(gluings).pieces if rng.random() < 0.5
+                   else (a, b)))
+    rng.shuffle(pieces)
+    rng.shuffle(gluings)
     return GluingGraph(pieces=tuple(pieces), gluings=tuple(gluings))

@@ -2,10 +2,16 @@
 
 Everything here recomputes results from first principles, by explicit
 instantiation and brute-force enumeration, sharing no code with the
-library paths it checks.
+library paths it checks.  The rescanning and listing oracles keep the
+library's earlier, slower rewrites; they build the library's move and
+proof types so that their results compare equal to the library's.
 """
 
 from collections import deque
+
+from hakensum import Pack, ScenarioError, Slice
+from hakensum.scenarios import HandlebodyProof, ProofFailure, ProofStep
+from hakensum.surfaces import UnionFind
 
 
 def _components(nodes, edges):
@@ -222,6 +228,124 @@ def cancel_parities_by_rescan(curves):
                 changed = True
                 break
     return curves
+
+
+def moves_by_listing(state):
+    """Every applicable move of a can state, listed eagerly: the pack
+    first, then every proper split of every can, slice ``bits`` keeping
+    the can's smallest curve and each further curve k + 1 whose bit k is
+    set."""
+    moves = []
+    if state.outside_components > 0:
+        moves.append(Pack())
+    for idx, can in enumerate(state.cans):
+        if len(can) < 2:
+            continue
+        members = sorted(can)
+        anchor, rest = members[0], members[1:]
+        for bits in range(2 ** len(rest) - 1):
+            part = frozenset(
+                [anchor] + [c for k, c in enumerate(rest) if bits >> k & 1])
+            moves.append(Slice(can=idx, partition=part))
+    return moves
+
+
+def handlebody_by_rescan(graph):
+    """The handlebody rewriter that restarts its scan of every gluing
+    after each merge and rescans every product to a fixpoint.
+
+    Returns the same HandlebodyProof or ProofFailure as the library's
+    forward-chaining ``handlebody_certificate``, step for step.
+    """
+    if not graph.pieces:
+        raise ScenarioError("empty gluing graph")
+
+    index = {p.id: i for i, p in enumerate(graph.pieces)}
+    uf = UnionFind(len(index))
+    # Keyed by cluster root: a merge keeps the root of its first argument.
+    genus_of_cluster = [1 - p.euler for p in graph.pieces]
+
+    steps = []
+    for p in sorted(graph.pieces, key=lambda p: p.id):
+        if p.kind == "product":
+            steps.append(ProofStep(
+                rule="product-is-handlebody",
+                detail="product piece {} over a base of euler {} is a "
+                       "handlebody".format(p.id, p.base_euler),
+                genus=1 - p.base_euler))
+        elif p.kind == "solid_torus":
+            steps.append(ProofStep(
+                rule="product-is-handlebody",
+                detail="solid torus {} is a genus-1 handlebody".format(p.id),
+                genus=1))
+
+    # Primitivity facts anchored to pieces: the annulus is primitive in
+    # whatever cluster currently contains the anchor.
+    prim = {(g.id, g.primitive_in)
+            for g in graph.gluings if g.primitive_in is not None}
+
+    def internal(g):
+        return uf.find(index[g.pieces[0]]) == uf.find(index[g.pieces[1]])
+
+    def transfer_across_products():
+        added = True
+        while added:
+            added = False
+            for p in sorted(graph.pieces, key=lambda p: p.id):
+                if p.kind != "product":
+                    continue
+                incident = [g for g in graph.gluings if p.id in g.pieces]
+                if len(incident) != 2:
+                    continue
+                a, b = incident
+                for inside, outside in ((a, b), (b, a)):
+                    if internal(inside) and not internal(outside):
+                        fact = (outside.id, p.id)
+                        if fact not in prim:
+                            prim.add(fact)
+                            steps.append(ProofStep(
+                                rule="primitivity-across-product",
+                                detail="annulus {} is primitive in the "
+                                       "cluster absorbing product {}".format(
+                                           outside.id, p.id)))
+                            added = True
+
+    transfer_across_products()
+    progress = True
+    while progress:
+        progress = False
+        for g in sorted(graph.gluings, key=lambda g: g.id):
+            ra, rb = (uf.find(index[pid]) for pid in g.pieces)
+            if ra == rb:
+                continue
+            anchored = {uf.find(index[anchor]) for (gid, anchor) in prim
+                        if gid == g.id}
+            if ra not in anchored and rb not in anchored:
+                continue
+            merged_genus = genus_of_cluster[ra] + genus_of_cluster[rb] - 1
+            uf.union(ra, rb)
+            genus_of_cluster[ra] = merged_genus
+            steps.append(ProofStep(
+                rule="merge-primitive-annulus",
+                detail="glue along annulus {}".format(g.id),
+                genus=merged_genus))
+            transfer_across_products()
+            progress = True
+            break
+
+    roots = {uf.find(i) for i in range(len(index))}
+    if len(roots) > 1:
+        return ProofFailure(
+            reason="no inference applies; {} clusters remain".format(
+                len(roots)),
+            cluster_count=len(roots))
+    final_genus = genus_of_cluster[roots.pop()]
+    euler_total = sum(p.euler for p in graph.pieces)
+    if final_genus != 1 - euler_total:
+        raise AssertionError(
+            "genus bookkeeping violated: {} != 1 - {}".format(
+                final_genus, euler_total))
+    return HandlebodyProof(steps=tuple(steps), genus=final_genus)
 
 
 def check_zero_side(cert):

@@ -24,8 +24,8 @@ from generators import (all_balanced_words, random_beta,
                         random_complex_with_trivial_seams,
                         random_parity_inventory, random_provable_graph,
                         random_side_system)
-from oracles import (check_zero_side, euler_rank_genus, residue_classes,
-                     splice_components, walk_dual_curve)
+from oracles import (check_zero_side, euler_rank_genus, moves_by_listing,
+                     residue_classes, splice_components, walk_dual_curve)
 
 BASE_SEED = 20240229
 
@@ -223,7 +223,14 @@ def test_tuna_can_termination(seed):
                              outside_components=outside)
             best = 0
             before = state.measure()
-            for move in applicable_moves(state):
+            moves = applicable_moves(state)
+            listed = moves_by_listing(state)
+            assert list(moves) == listed
+            assert [moves[i] for i in range(-len(moves), 0)] == listed
+            assert moves[1:3] == listed[1:3]
+            if listed:
+                assert moves[-1] == listed[-1]
+            for move in moves:
                 nxt = tuna_can_step(state, move)
                 assert nxt.measure() < before
                 best = max(best, 1 + longest_run(

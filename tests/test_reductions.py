@@ -14,7 +14,8 @@ from hakensum.schema import load_builtin
 
 from generators import (random_can_state, random_complex_with_trivial_seams,
                         random_parity_inventory)
-from oracles import cancel_parities_by_rescan, residue_classes
+from oracles import (cancel_parities_by_rescan, moves_by_listing,
+                     residue_classes)
 
 
 def inventory(flags, copies, parities=None):
@@ -286,3 +287,45 @@ class TestTunaCan:
             assert run.within_bound
             assert run.final.outside_components == 0
             assert all(len(c) == 1 for c in run.final.cans)
+
+    def test_default_and_random_runs_match_the_listing(self, seed):
+        # rng.choice draws the same index from the lazy sequence as from
+        # the list, so both runs take the same path.
+        for trial in range(200):
+            state = random_can_state(random.Random(seed * 1000 + trial))
+            assert (tuna_can_run(state).moves
+                    == tuna_can_run(state, lambda st, moves:
+                                    moves_by_listing(st)[0]).moves)
+            lazy, listed = random.Random(trial), random.Random(trial)
+            assert (tuna_can_run(state, lambda st, m: lazy.choice(m)).moves
+                    == tuna_can_run(state, lambda st, m: listed.choice(
+                        moves_by_listing(st))).moves)
+
+    def test_move_index_out_of_range(self):
+        moves = applicable_moves(
+            CanState(cans=(frozenset({1, 2, 3}),), outside_components=1))
+        assert len(moves) == 4
+        assert moves[-4] == moves[0] == Pack()
+        assert moves[4:] == []
+        for i in (4, -5):
+            with pytest.raises(IndexError):
+                moves[i]
+
+    def test_forty_curve_can(self):
+        state = CanState(cans=(frozenset(range(40)),), outside_components=3)
+        moves = applicable_moves(state)
+        assert len(moves) == 1 + 2 ** 39 - 1
+        # The last slice keeps every curve but the second smallest.
+        assert moves[-1] == Slice(can=0,
+                                  partition=frozenset(range(40)) - {1})
+        run = tuna_can_run(state)
+        assert (run.slice_count, run.pack_count) == (39, 3)
+        assert all(len(c) == 1 for c in run.final.cans)
+
+    def test_run_beyond_the_length_limit(self):
+        # Past sys.maxsize moves len() overflows, but truth and indexing
+        # do not, so the default run still completes.
+        state = CanState(cans=(frozenset(range(100)),), outside_components=0)
+        with pytest.raises(OverflowError):
+            len(applicable_moves(state))
+        assert tuna_can_run(state).slice_count == 99

@@ -7,8 +7,8 @@ from hakensum import (AnnulusGluing, GluedPiece, GluingGraph, ScenarioError,
                       gluing_graph_from_dict, handlebody_certificate)
 from hakensum.schema import load_builtin
 
-from generators import random_provable_graph
-from oracles import euler_rank_genus
+from generators import random_gluing_graph, random_provable_graph
+from oracles import euler_rank_genus, handlebody_by_rescan
 
 
 def genus_check(report):
@@ -189,3 +189,110 @@ class TestHandlebodyCertificate:
     def test_annulus_must_join_two_distinct_pieces(self):
         with pytest.raises(ScenarioError):
             AnnulusGluing(id="e", pieces=("a", "a"))
+
+    def test_duplicate_annulus_id_rejected(self):
+        # The second "e" would borrow the first one's primitivity fact.
+        with pytest.raises(ScenarioError, match="duplicate annulus id"):
+            GluingGraph(
+                pieces=tuple(GluedPiece(id=pid, kind="handlebody", genus=1)
+                             for pid in "abc"),
+                gluings=(AnnulusGluing(id="e", pieces=("a", "b"),
+                                       primitive_in="a"),
+                         AnnulusGluing(id="e", pieces=("b", "c"))))
+
+    @staticmethod
+    def assert_matches_rescan(graph):
+        outcome = handlebody_certificate(graph)
+        assert outcome == handlebody_by_rescan(graph)
+        return outcome
+
+    def test_matches_rescan_oracle_small(self, seed):
+        rng = random.Random(seed + 55)
+        outcomes = [self.assert_matches_rescan(random_gluing_graph(rng, 30))
+                    for _ in range(300)]
+        # The draw covers proofs that carry primitivity across a product,
+        # and failures.
+        assert any(not o.succeeded for o in outcomes)
+        assert any(s.rule == "primitivity-across-product"
+                   for o in outcomes if o.succeeded for s in o.steps)
+
+    def test_matches_rescan_oracle_large(self, seed):
+        rng = random.Random(seed + 56)
+        for _ in range(4):
+            graph = random_gluing_graph(rng, 200)
+            self.assert_matches_rescan(graph)
+            pieces = list(graph.pieces)
+            gluings = list(graph.gluings)
+            rng.shuffle(pieces)
+            rng.shuffle(gluings)
+            self.assert_matches_rescan(
+                GluingGraph(pieces=tuple(pieces), gluings=tuple(gluings)))
+        for _ in range(3):
+            self.assert_matches_rescan(random_provable_graph(rng, 200, 100))
+
+    def test_matches_rescan_oracle_on_fixed_graphs(self):
+        self.assert_matches_rescan(paper_style_graph(4))
+        self.assert_matches_rescan(gluing_graph_from_dict(
+            load_builtin("doubled-handlebody").gluing_graph))
+
+    def test_two_thousand_piece_tree(self, seed):
+        graph = random_provable_graph(random.Random(seed + 57), 2000, 2000)
+        proof = handlebody_certificate(graph)
+        assert proof.succeeded
+        assert proof.genus == euler_rank_genus(graph.pieces)
+
+
+def graph_dict(piece=None, gluing=None):
+    """A two-piece gluing graph in scenario-file form, with the given
+    fields set on its second piece and on its annulus."""
+    return {
+        "pieces": [{"id": "a", "kind": "handlebody", "genus": 1},
+                   dict({"id": "b", "kind": "product", "base_euler": -1},
+                        **(piece or {}))],
+        "gluings": [dict({"id": "e", "pieces": ["a", "b"],
+                          "primitive_in": "a"}, **(gluing or {}))]}
+
+
+class TestGluingGraphFromDict:
+    def test_plain_graph(self):
+        graph = gluing_graph_from_dict(graph_dict())
+        assert graph.gluings[0] == AnnulusGluing(
+            id="e", pieces=("a", "b"), primitive_in="a",
+            incompressible=False)
+        assert handlebody_certificate(graph).genus == 2
+
+    def test_null_primitive_in_and_boolean_flag(self):
+        graph = gluing_graph_from_dict(graph_dict(
+            gluing={"primitive_in": None, "incompressible": True}))
+        assert graph.gluings[0].primitive_in is None
+        assert graph.gluings[0].incompressible is True
+
+    @pytest.mark.parametrize("piece, gluing", [
+        ({"base_euler": "x"}, None),
+        ({"base_euler": True}, None),
+        ({"base_euler": 1.5}, None),
+        ({"kind": "handlebody", "genus": False}, None),
+        ({"kind": "handlebody", "genus": "2"}, None),
+        ({"kind": 3}, None),
+        ({"id": 7}, None),
+        (None, {"incompressible": "no"}),
+        (None, {"incompressible": None}),
+        (None, {"incompressible": 1}),
+        (None, {"primitive_in": 3}),
+        (None, {"primitive_in": ["a"]}),
+        (None, {"pieces": ["a"]}),
+        (None, {"pieces": ["a", "b", "a"]}),
+        (None, {"pieces": ["a", 3]}),
+        (None, {"pieces": "ab"}),
+        (None, {"id": None}),
+    ])
+    def test_wrong_field_type_rejected(self, piece, gluing):
+        with pytest.raises(ScenarioError):
+            gluing_graph_from_dict(graph_dict(piece, gluing))
+
+    @pytest.mark.parametrize("d", [
+        [], {"pieces": {"id": "a"}}, {"pieces": ["a"]},
+        {"pieces": [{"id": "a", "kind": "solid_torus"}], "gluings": "e"}])
+    def test_wrong_container_rejected(self, d):
+        with pytest.raises(ScenarioError):
+            gluing_graph_from_dict(d)
