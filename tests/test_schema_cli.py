@@ -1,14 +1,19 @@
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hakensum import DualCurveCertificate, ScenarioError
 from hakensum import schema
 from hakensum.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main
 
 from oracles import walk_dual_curve
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*argv):
@@ -109,6 +114,15 @@ class TestExitCodes:
         code, _ = run_cli("resolve", "--scenario", path, "--n", "6",
                           "--strict")
         assert code == EXIT_MISMATCH
+
+    def test_strict_sweep_writes_no_report(self, capsys):
+        code = main(["sweep", "--scenario",
+                     str(GOLDEN / "genus_mismatch.json"),
+                     "--from", "0", "--to", "6", "--strict"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_MISMATCH
+        assert out == ""
+        assert err == "expectation failed: genus\n"
 
 
 CERTIFY = ["certify", "--n", "10", "--level", "5"]
@@ -373,3 +387,40 @@ class TestReports:
         code, _ = run_cli("sweep", "--scenario", path,
                           "--from", "1", "--to", "3")
         assert code == EXIT_INPUT
+
+
+SUBCOMMANDS = ("resolve", "trace", "shifts", "certify", "reduce", "sweep",
+               "glue")
+SCENARIOS = (sorted(schema.BUILTIN_SCENARIOS)
+             + [str(GOLDEN / name) for name in ("genus_mismatch.json",
+                                                 "seeded_6538.json")]
+             + ["no-such-file.json"])
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand (or an unknown one) with any mix of the CLI's flags."""
+    groups = [["--scenario", draw(st.sampled_from(SCENARIOS))]]
+    for flag in draw(st.lists(st.sampled_from(("--n", "--level", "--from",
+                                               "--to")), unique=True)):
+        groups.append([flag, str(draw(st.integers(-5, 60)))])
+    if draw(st.booleans()):
+        groups.append(["--strict"])
+    if draw(st.booleans()):
+        groups.append(["--format",
+                       draw(st.sampled_from(("text", "json", "xml")))])
+    argv = [draw(st.sampled_from(SUBCOMMANDS))]
+    for group in draw(st.permutations(groups)):
+        argv += group
+    return argv
+
+
+class TestExitContract:
+    @given(cli_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_any_argv_ends_in_a_contract_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_INPUT)
+        assert "Traceback" not in err.getvalue()
