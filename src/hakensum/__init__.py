@@ -5,14 +5,15 @@ from .errors import (CertificateError, DisconnectionError, DomainError,
                      GuardViolationError, HakenSumError,
                      InsufficientCopiesError, MalformedComplexError,
                      RangeError, ScenarioError, UndefinedPeriodError)
+from .gluing import AnnulusGluing, GluedPiece, GluingGraph
 from .reductions import (CanState, Curve, IntersectionInventory, Pack,
                          RunTrace, Slice, absorb_trivial_seam,
                          applicable_moves, reduce_parities, remove_trivial,
                          torus_periodicity, tuna_can_run, tuna_can_step)
-from .scenarios import (AnnulusGluing, GluedPiece, GluingGraph,
-                        HandlebodyProof, ProofFailure, Report,
+from .scenarios import (HandlebodyProof, ProofFailure, Report,
                         casson_gordon_scenario, doubled_handlebody_scenario,
-                        gluing_graph_from_dict, handlebody_certificate)
+                        handlebody_certificate)
+from .schema import gluing_graph_from_dict
 from .shifts import (BetaArc, DualCurveCertificate, LiftWalk, ShiftProfile,
                      SideSystem, SumEulers, ZeroSideCertificate,
                      annulus_shift_contradiction, compute_thresholds,

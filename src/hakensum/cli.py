@@ -6,6 +6,14 @@ emit a report as stable plain text or JSON.  Exit codes form a contract:
 problem (bad flags, unreadable or malformed scenario files, missing
 sections).  Reports for identical inputs are byte-identical: dictionary
 keys are sorted and no timestamps or environment data are included.
+
+Every subcommand takes ``--scenario`` and ``--format`` and otherwise only
+the flags it reads: ``--n`` on ``resolve``, ``trace`` (where it overrides
+the declared copy count) and ``certify``; ``--level`` on ``certify``;
+``--from``/``--to`` on ``sweep``; ``--strict`` on ``resolve``, ``reduce``
+and ``sweep``, the subcommands that check expectations.  Any other flag
+is a usage error.  Under ``--strict`` a failed check writes
+``expectation failed: <name>`` to stderr and no report.
 """
 
 from __future__ import annotations
@@ -45,17 +53,13 @@ def _load(path):
     return schema.load_scenario(path)
 
 
-class Mismatch(Exception):
-    """Raised under --strict at the first failed expectation."""
-
-
-def _check(report, strict, name, expected, actual, source):
-    if not report.check(name, expected, actual, source).passed and strict:
-        raise Mismatch(name)
-
-
-def _finish(report, fmt):
-    """Write the report to stdout; the exit code says whether it passed."""
+def _finish(report, fmt, strict):
+    """Write the report to stdout; the exit code says whether it passed.
+    Under ``strict`` a failed check replaces the report with its name."""
+    failed = [c.name for c in report.checks if not c.passed]
+    if strict and failed:
+        sys.stderr.write("expectation failed: {}\n".format(failed[0]))
+        return EXIT_MISMATCH
     out = sys.stdout
     if fmt == "json":
         body = dict(report.values, passed=report.passed,
@@ -72,7 +76,7 @@ def _finish(report, fmt):
                 c.name, _fmt(c.expected), _fmt(c.actual), c.source,
                 "ok" if c.passed else "MISMATCH"))
         out.write("passed: {}\n".format(report.passed))
-    return EXIT_OK if report.passed else EXIT_MISMATCH
+    return EXIT_MISMATCH if failed else EXIT_OK
 
 
 def _fmt(value):
@@ -87,7 +91,7 @@ def _component_dicts(resolved):
              "pieces": c.piece_count} for c in resolved.components]
 
 
-def _apply_resolve_expectations(report, strict, scenario, resolved, copies):
+def _apply_resolve_expectations(report, scenario, resolved, copies):
     exp = scenario.expectations
     parity = exp.get("copy_parity", {}).get("value")
     if parity == "even" and copies % 2 != 0:
@@ -95,69 +99,59 @@ def _apply_resolve_expectations(report, strict, scenario, resolved, copies):
             "declared only for even copy counts")
         return
     if "connected" in exp:
-        _check(report, strict, "connected", exp["connected"]["value"],
-               resolved.component_count == 1, exp["connected"]["source"])
+        report.check("connected", exp["connected"]["value"],
+                     resolved.component_count == 1,
+                     exp["connected"]["source"])
     if "genus" in exp:
         entry = exp["genus"]
         expected = entry["base"] + entry["per_copy"] * copies
         actual = (resolved.components[0].genus
                   if resolved.component_count == 1 else None)
-        _check(report, strict, "genus", expected, actual, entry["source"])
+        report.check("genus", expected, actual, entry["source"])
 
 
-def cmd_resolve(args):
-    scenario = _load(args.scenario)
-    pc = scenario.require("patch_complex")
-    resolved = resolve(pc, args.n)
-    report = Report(command="resolve", scenario=scenario.name,
-                    copies=args.n, components=_component_dicts(resolved),
-                    total_euler=resolved.total_euler)
-    _apply_resolve_expectations(report, args.strict, scenario, resolved,
-                                args.n)
-    return _finish(report, args.format)
+def cmd_resolve(scenario, args, report):
+    resolved = resolve(scenario.require("patch_complex"), args.n)
+    report.values.update(copies=args.n,
+                         components=_component_dicts(resolved),
+                         total_euler=resolved.total_euler)
+    _apply_resolve_expectations(report, scenario, resolved, args.n)
 
 
-def cmd_trace(args):
-    scenario = _load(args.scenario)
+def cmd_trace(scenario, args, report):
     dp = scenario.require("disk_pattern")
     if args.n is not None:
         dp = replace(dp, copies=args.n)
     traced = trace(dp)
-    report = Report(
-        command="trace", scenario=scenario.name, word=dp.word,
-        copies=dp.copies, arc_count=traced.arc_count,
+    report.values.update(
+        word=dp.word, copies=dp.copies, arc_count=traced.arc_count,
         gamma_levels=([traced.gamma_levels.start,
                        traced.gamma_levels.stop - 1]
                       if len(traced.gamma_levels) else []),
         gamma_count=traced.gamma_count, excursion=list(traced.excursion),
         annulus_count=traced.annulus_count,
         extra_closed_bound=traced.extra_closed_bound)
-    return _finish(report, args.format)
 
 
 def _thresholds(scenario):
     sides = scenario.require("sides")
     boundary = sides.boundary_count
     if boundary is None:
-        boundary = (len(scenario.disk_pattern.word)
+        boundary = (scenario.disk_pattern.boundary_count
                     if scenario.disk_pattern is not None else 0)
     return sides, compute_thresholds(boundary, sides.prime, sides.dblprime)
 
 
-def cmd_shifts(args):
-    scenario = _load(args.scenario)
-    sides, profile = _thresholds(scenario)
-    report = Report(command="shifts", scenario=scenario.name,
-                    shifts_prime=list(profile.shifts_prime),
-                    shifts_dblprime=list(profile.shifts_dblprime),
-                    max_crossing_count=profile.max_crossing_count,
-                    shift_lcm=profile.shift_lcm, margin=profile.margin,
-                    boundary_count=profile.boundary_count)
-    return _finish(report, args.format)
+def cmd_shifts(scenario, args, report):
+    _, profile = _thresholds(scenario)
+    report.values.update(shifts_prime=list(profile.shifts_prime),
+                         shifts_dblprime=list(profile.shifts_dblprime),
+                         max_crossing_count=profile.max_crossing_count,
+                         shift_lcm=profile.shift_lcm, margin=profile.margin,
+                         boundary_count=profile.boundary_count)
 
 
-def cmd_certify(args):
-    scenario = _load(args.scenario)
+def cmd_certify(scenario, args, report):
     sides, profile = _thresholds(scenario)
     if sides.eulers is None:
         raise HakenSumError(
@@ -165,9 +159,8 @@ def cmd_certify(args):
             "can be checked")
     cert = essential_certificate(args.level, args.n, profile,
                                  sides.prime, sides.dblprime, sides.eulers)
-    report = Report(command="certify", scenario=scenario.name,
-                    copies=args.n, level=args.level, kind=cert.kind,
-                    validated=True)
+    report.values.update(copies=args.n, level=args.level, kind=cert.kind,
+                         validated=True)
     if cert.kind == "zero-side":
         report.values.update(zero_side=cert.side,
                              side_euler=cert.side_euler,
@@ -180,14 +173,11 @@ def cmd_certify(args):
             dblprime_arc=cert.dblprime_index,
             dblprime_shift=cert.dblprime_shift,
             dblprime_levels=list(cert.dblprime_levels))
-    return _finish(report, args.format)
 
 
-def cmd_reduce(args):
-    scenario = _load(args.scenario)
+def cmd_reduce(scenario, args, report):
     inv = scenario.require("inventory")
-    report = Report(command="reduce", scenario=scenario.name,
-                    copies_before=inv.copies)
+    report.values["copies_before"] = inv.copies
     pc = scenario.patch_complex
     attach = pc is not None and all(
         c.id in pc.seams_by_id for c in inv.inessential())
@@ -195,8 +185,8 @@ def cmd_reduce(args):
     report.values["inessential_removed"] = outcome.removed
     inv = outcome.inventory
     if outcome.profile_before is not None:
-        _check(report, args.strict, "resolve_profile_preserved",
-               outcome.profile_before, outcome.profile_after, "derived")
+        report.check("resolve_profile_preserved", outcome.profile_before,
+                     outcome.profile_after, "derived")
     if inv.torus_mode:
         parity = reduce_parities(inv)
         report.values.update(net_positive=parity.net,
@@ -204,15 +194,12 @@ def cmd_reduce(args):
         inv = parity.inventory
     report.values.update(copies_after=inv.copies,
                          curves_after=[c.id for c in inv.curves])
-    return _finish(report, args.format)
 
 
-def cmd_sweep(args):
-    scenario = _load(args.scenario)
+def cmd_sweep(scenario, args, report):
     if args.n_from > args.n_to:
         raise HakenSumError("--from must not exceed --to")
     sweep_range = range(args.n_from, args.n_to + 1)
-    report = Report(command="sweep", scenario=scenario.name)
     report.values.update({"from": args.n_from, "to": args.n_to})
     did_anything = False
 
@@ -229,8 +216,7 @@ def cmd_sweep(args):
                 "genus": (resolved.components[0].genus
                           if resolved.component_count == 1 else None),
             })
-            _apply_resolve_expectations(report, args.strict, scenario,
-                                        resolved, n)
+            _apply_resolve_expectations(report, scenario, resolved, n)
         report.values.update(progression=rows,
                              conjectured_period=conjectured_period(pc))
 
@@ -244,20 +230,36 @@ def cmd_sweep(args):
         report.values.update(
             residue_period=period.period,
             residue_classes=[list(c) for c in period.classes])
-        if "residue_classes" in exp:
-            _check(report, args.strict, "residue_classes",
-                   exp["residue_classes"]["value"], period.class_count,
-                   exp["residue_classes"]["source"])
-        if "euler_constant" in exp:
-            _check(report, args.strict, "euler_constant",
-                   exp["euler_constant"]["value"], period.euler_constant,
-                   exp["euler_constant"]["source"])
+        for name, actual in (("residue_classes", period.class_count),
+                             ("euler_constant", period.euler_constant)):
+            if name in exp:
+                report.check(name, exp[name]["value"], actual,
+                             exp[name]["source"])
 
     if not did_anything:
         raise HakenSumError(
             "scenario {!r} has neither a patch complex nor a torus "
             "inventory to sweep".format(scenario.name))
-    return _finish(report, args.format)
+
+
+_N = ("--n", dict(type=int, required=True, help="number of parallel copies"))
+_STRICT = ("--strict", dict(action="store_true",
+                            help="write no report if an expectation fails"))
+# Each subcommand: its handler, its help line and the flags it reads
+# besides --scenario and --format.
+SUBCOMMANDS = {
+    "resolve": (cmd_resolve, "resolve the patch complex", (_N, _STRICT)),
+    "trace": (cmd_trace, "trace the disk pattern", (
+        ("--n", dict(type=int, help="override the declared copy count")),)),
+    "shifts": (cmd_shifts, "shift thresholds of the side systems", ()),
+    "certify": (cmd_certify, "essentiality certificate for one level", (
+        _N, ("--level", dict(type=int, required=True,
+                             help="the level index to certify")))),
+    "reduce": (cmd_reduce, "clean the intersection inventory", (_STRICT,)),
+    "sweep": (cmd_sweep, "sweep the copy count over a range", (
+        ("--from", dict(dest="n_from", type=int, required=True)),
+        ("--to", dict(dest="n_to", type=int, required=True)), _STRICT)),
+}
 
 
 def build_parser():
@@ -265,70 +267,32 @@ def build_parser():
                      description="resolve, trace and certify iterated "
                                  "surface sums from scenario files")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_n=False, needs_range=False, needs_level=False):
+    for name, (_, help_line, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--scenario", required=True,
                        help="path to a scenario file, or a builtin name: "
                             + ", ".join(sorted(schema.BUILTIN_SCENARIOS)))
         p.add_argument("--format", choices=("text", "json"),
                        default="text")
-        p.add_argument("--strict", action="store_true",
-                       help="stop at the first expectation mismatch")
-        if needs_n:
-            p.add_argument("--n", type=int, required=True,
-                           help="number of parallel copies")
-        else:
-            p.add_argument("--n", type=int, default=None,
-                           help="override the copy count, where relevant")
-        if needs_range:
-            p.add_argument("--from", dest="n_from", type=int, required=True)
-            p.add_argument("--to", dest="n_to", type=int, required=True)
-        if needs_level:
-            p.add_argument("--level", type=int, required=True,
-                           help="the level index to certify")
-
-    p = sub.add_parser("resolve", help="resolve the patch complex")
-    common(p, needs_n=True)
-    p.set_defaults(func=cmd_resolve)
-
-    p = sub.add_parser("trace", help="trace the disk pattern")
-    common(p)
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("shifts", help="shift thresholds of the side systems")
-    common(p)
-    p.set_defaults(func=cmd_shifts)
-
-    p = sub.add_parser("certify",
-                       help="essentiality certificate for one level")
-    common(p, needs_n=True, needs_level=True)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("reduce", help="clean the intersection inventory")
-    common(p)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("sweep", help="sweep the copy count over a range")
-    common(p, needs_range=True)
-    p.set_defaults(func=cmd_sweep)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         sys.stderr.write("error: {}\n".format(exc))
         return EXIT_INPUT
     try:
-        return args.func(args)
-    except Mismatch as exc:
-        sys.stderr.write("expectation failed: {}\n".format(exc))
-        return EXIT_MISMATCH
+        scenario = _load(args.scenario)
+        report = Report(command=args.command, scenario=scenario.name)
+        SUBCOMMANDS[args.command][0](scenario, args, report)
     except HakenSumError as exc:
         sys.stderr.write("error: {}\n".format(exc))
         return EXIT_INPUT
+    return _finish(report, args.format, getattr(args, "strict", False))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ from .errors import (DisconnectionError, DomainError, GuardViolationError,
                      InsufficientCopiesError, MalformedComplexError,
                      UndefinedPeriodError)
 from .surfaces import (Patch, PatchComplex, SeamCurve, UnionFind,
-                       euler_of_sum, level_components, resolve)
+                       euler_of_sum, level_components, merged_orientation,
+                       resolve)
 
 PARITIES = ("+", "-")
 
@@ -185,16 +186,10 @@ def absorb_trivial_seam(pc, seam_id, copies=None):
     for _, members in sorted(groups.items()):
         members.sort(key=nodes.__getitem__)
         name = "+".join("{}.{}".format(*nodes[m]) for m in members)
-        flags = {patches[m].oriented for m in members}
-        if flags == {True}:
-            ori = True
-        elif False in flags:
-            ori = False
-        else:
-            ori = None
-        new_f.append(Patch(id=name,
-                           euler=sum(patches[m].euler for m in members),
-                           oriented=ori))
+        new_f.append(Patch(
+            id=name, euler=sum(patches[m].euler for m in members),
+            oriented=merged_orientation(patches[m].oriented
+                                        for m in members)))
         for m in members:
             rep_name[nodes[m]] = name
 

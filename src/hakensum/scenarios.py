@@ -7,8 +7,8 @@ per copy.  The second family doubles a genus-3 handlebody with a twisted
 regluing; here the summand has genus 3 and the genus grows by two per
 copy, starting from 3.  Both are verified by resolving curated seam
 complexes and by plain Euler arithmetic.  The module also checks the
-symbolic handlebody-gluing certificate used to see that the second
-family's sums really are splittings.
+symbolic handlebody-gluing certificate (over ``gluing.GluingGraph``) used
+to see that the second family's sums really are splittings.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 from . import schema
 from .errors import ScenarioError
+# perfbench/workloads.py calls the gluing parser as a member of this module.
+from .schema import gluing_graph_from_dict  # noqa: F401
 from .surfaces import UnionFind, euler_of_sum, genus_from_euler, resolve
 
 
@@ -158,136 +160,6 @@ def doubled_handlebody_scenario(copies):
     report.check("genus", expected_genus, resolved.components[0].genus,
                  "reference" if copies == 0 else "derived")
     return scenario, report
-
-
-PIECE_KINDS = ("handlebody", "product", "solid_torus")
-
-
-@dataclass(frozen=True)
-class GluedPiece:
-    """One block of a decomposition along annuli."""
-
-    id: str
-    kind: str
-    genus: int | None = None
-    base_euler: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in PIECE_KINDS:
-            raise ScenarioError("unknown piece kind {!r}".format(self.kind))
-        if self.kind == "handlebody" and (self.genus is None
-                                          or self.genus < 0):
-            raise ScenarioError(
-                "piece {}: a handlebody needs a nonnegative genus".format(
-                    self.id))
-        if self.kind == "product" and self.base_euler is None:
-            raise ScenarioError(
-                "piece {}: a product needs the euler characteristic of "
-                "its base".format(self.id))
-
-    @property
-    def euler(self):
-        # A genus-g handlebody has euler 1 - g; a product over a bounded
-        # surface has the base's euler; a solid torus is the g = 1 case.
-        if self.kind == "handlebody":
-            return 1 - self.genus
-        if self.kind == "product":
-            return self.base_euler
-        return 0
-
-
-@dataclass(frozen=True)
-class AnnulusGluing:
-    """An annulus joining exactly two pieces.
-
-    ``primitive_in`` names the piece in whose boundary the annulus is
-    primitive (met by an essential disk in one co-core arc), if any;
-    ``incompressible`` is declared metadata with no inferential power.
-    """
-
-    id: str
-    pieces: tuple
-    primitive_in: str | None = None
-    incompressible: bool = False
-
-    def __post_init__(self):
-        if len(self.pieces) != 2 or self.pieces[0] == self.pieces[1]:
-            raise ScenarioError(
-                "annulus {} must join exactly two distinct pieces".format(
-                    self.id))
-        if (self.primitive_in is not None
-                and self.primitive_in not in self.pieces):
-            raise ScenarioError(
-                "annulus {}: primitive_in must name one of its two "
-                "pieces".format(self.id))
-
-
-@dataclass(frozen=True)
-class GluingGraph:
-    pieces: tuple
-    gluings: tuple
-
-    def __post_init__(self):
-        ids = [p.id for p in self.pieces]
-        if len(set(ids)) != len(ids):
-            raise ScenarioError("duplicate piece id")
-        annuli = [g.id for g in self.gluings]
-        if len(set(annuli)) != len(annuli):
-            # A primitivity fact is keyed by annulus id, so a repeated id
-            # would lend one annulus's fact to the other.
-            raise ScenarioError("duplicate annulus id")
-        known = set(ids)
-        for g in self.gluings:
-            for pid in g.pieces:
-                if pid not in known:
-                    raise ScenarioError(
-                        "annulus {} references missing piece {!r}".format(
-                            g.id, pid))
-        index = {pid: i for i, pid in enumerate(ids)}
-        uf = UnionFind(len(ids))
-        for g in self.gluings:
-            uf.union(index[g.pieces[0]], index[g.pieces[1]])
-        if len({uf.find(i) for i in range(len(ids))}) > 1:
-            raise ScenarioError("gluing graph is disconnected")
-
-
-def _piece_from_dict(d, context):
-    return GluedPiece(
-        id=schema._require_str(d, "id", context),
-        kind=schema._require_str(d, "kind", context),
-        genus=schema._require_int(d, "genus", context, None),
-        base_euler=schema._require_int(d, "base_euler", context, None))
-
-
-def _gluing_from_dict(d, context):
-    ends = schema._require_list(d, "pieces", context, (str,), "a piece id")
-    if len(ends) != 2:
-        raise ScenarioError(
-            "{}: field 'pieces' must list two piece ids, got {!r}".format(
-                context, ends))
-    return AnnulusGluing(
-        id=schema._require_str(d, "id", context),
-        pieces=tuple(ends),
-        primitive_in=schema._require_typed(
-            d, "primitive_in", context, (str,), "a string or null", None),
-        incompressible=schema._flag(d, "incompressible", context, False))
-
-
-def gluing_graph_from_dict(d):
-    """Build a GluingGraph from its scenario-file form.  A field of the
-    wrong type raises ScenarioError: ids, kinds and the two piece ids of
-    an annulus are strings, ``genus`` and ``base_euler`` ints,
-    ``primitive_in`` a string or null and ``incompressible`` a boolean."""
-    ctx = "gluing_graph"
-    schema._object(d, ctx)
-    pieces = schema._require_list(d, "pieces", ctx, (dict,), "an object",
-                                  ())
-    gluings = schema._require_list(d, "gluings", ctx, (dict,), "an object",
-                                   ())
-    return GluingGraph(
-        pieces=tuple(_piece_from_dict(p, ctx + ".piece") for p in pieces),
-        gluings=tuple(_gluing_from_dict(g, ctx + ".gluing")
-                      for g in gluings))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from importlib import resources
 
 from .disk import DiskPattern
 from .errors import ScenarioError
+from .gluing import AnnulusGluing, GluedPiece, GluingGraph
 from .reductions import Curve, IntersectionInventory
 from .shifts import BetaArc, SideSystem, SumEulers
 from .surfaces import Patch, PatchComplex, SeamCurve, SurfaceDescriptor
@@ -224,6 +225,43 @@ def expectations_from_dict(d):
     return dict(d)
 
 
+def _piece_from_dict(d, context):
+    return GluedPiece(
+        id=_require_str(d, "id", context),
+        kind=_require_str(d, "kind", context),
+        genus=_require_int(d, "genus", context, None),
+        base_euler=_require_int(d, "base_euler", context, None))
+
+
+def _gluing_from_dict(d, context):
+    ends = _require_list(d, "pieces", context, (str,), "a piece id")
+    if len(ends) != 2:
+        raise ScenarioError(
+            "{}: field 'pieces' must list two piece ids, got {!r}".format(
+                context, ends))
+    return AnnulusGluing(
+        id=_require_str(d, "id", context),
+        pieces=tuple(ends),
+        primitive_in=_require_typed(
+            d, "primitive_in", context, (str,), "a string or null", None),
+        incompressible=_flag(d, "incompressible", context, False))
+
+
+def gluing_graph_from_dict(d):
+    """Build a GluingGraph from its scenario-file form.  A field of the
+    wrong type raises ScenarioError: ids, kinds and the two piece ids of
+    an annulus are strings, ``genus`` and ``base_euler`` ints,
+    ``primitive_in`` a string or null and ``incompressible`` a boolean."""
+    ctx = "gluing_graph"
+    _object(d, ctx)
+    pieces = _require_list(d, "pieces", ctx, (dict,), "an object", ())
+    gluings = _require_list(d, "gluings", ctx, (dict,), "an object", ())
+    return GluingGraph(
+        pieces=tuple(_piece_from_dict(p, ctx + ".piece") for p in pieces),
+        gluings=tuple(_gluing_from_dict(g, ctx + ".gluing")
+                      for g in gluings))
+
+
 @dataclass(frozen=True)
 class ScenarioFile:
     """The parsed contents of one scenario file."""
@@ -234,7 +272,7 @@ class ScenarioFile:
     disk_pattern: DiskPattern | None
     sides: SidesSection | None
     inventory: IntersectionInventory | None
-    gluing_graph: dict | None
+    gluing_graph: GluingGraph | None
     expectations: dict
 
     def require(self, section):
@@ -267,7 +305,7 @@ def scenario_from_dict(d):
         disk_pattern=section("disk_pattern", disk_pattern_from_dict),
         sides=section("sides", sides_from_dict),
         inventory=section("inventory", inventory_from_dict),
-        gluing_graph=d.get("gluing_graph"),
+        gluing_graph=section("gluing_graph", gluing_graph_from_dict),
         expectations=expectations_from_dict(
             _object(d.get("expectations", {}), "expectations")))
 

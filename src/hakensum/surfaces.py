@@ -65,6 +65,15 @@ class Patch:
     oriented: bool | None = True
 
 
+def merged_orientation(flags):
+    """The ``oriented`` flag of patches merged into one piece: False if
+    any is False, True if all are True, else None (unknown)."""
+    flags = set(flags)
+    if False in flags:
+        return False
+    return True if flags == {True} else None
+
+
 @dataclass(frozen=True)
 class SeamCurve:
     """A single intersection circle together with its resolution data.
@@ -312,12 +321,7 @@ def resolve(pc, copies):
 
     components = []
     for euler, pieces, flags in groups.values():
-        if flags == {True}:
-            orientable = True
-        elif False in flags:
-            orientable = False
-        else:
-            orientable = None
+        orientable = merged_orientation(flags)
         # Closed surfaces only: every patch boundary circle lies on a seam
         # and every seam quadrant is re-glued, so components are closed.
         genus = None

@@ -7,7 +7,7 @@ from hakensum import (BetaArc, CanState, Curve, IntersectionInventory,
                       Patch, PatchComplex, SeamCurve, SideSystem,
                       absorb_trivial_seam)
 from hakensum.errors import InsufficientCopiesError, MalformedComplexError
-from hakensum.scenarios import AnnulusGluing, GluedPiece, GluingGraph
+from hakensum.gluing import AnnulusGluing, GluedPiece, GluingGraph
 
 
 def random_patch_complex(rng, max_f=3, max_g=3, max_seams=4,

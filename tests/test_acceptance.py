@@ -256,10 +256,8 @@ def test_handlebody_certificate(seed):
         code, report = run_cli_json("resolve", "--scenario",
                                     "doubled-handlebody", "--n", "2")
         assert code == 0
-        from hakensum import gluing_graph_from_dict
         from hakensum.schema import load_builtin
-        graph = gluing_graph_from_dict(
-            load_builtin("doubled-handlebody").gluing_graph)
+        graph = load_builtin("doubled-handlebody").gluing_graph
         proof = handlebody_certificate(graph)
         assert proof.succeeded
         assert proof.genus == euler_rank_genus(graph.pieces)

@@ -106,8 +106,7 @@ class TestHandlebodyCertificate:
             assert rules.count("merge-primitive-annulus") == 2
 
     def test_shipped_graph(self):
-        graph = gluing_graph_from_dict(
-            load_builtin("doubled-handlebody").gluing_graph)
+        graph = load_builtin("doubled-handlebody").gluing_graph
         proof = handlebody_certificate(graph)
         assert proof.succeeded
         assert proof.genus == 7
@@ -186,6 +185,13 @@ class TestHandlebodyCertificate:
             assert a.succeeded == b.succeeded
             assert a.genus == b.genus
 
+    def test_product_base_euler_at_most_one(self):
+        # A bounded base surface has euler at most 1 (a disk); a larger
+        # one would prove a negative genus.
+        assert GluedPiece(id="p", kind="product", base_euler=1).euler == 1
+        with pytest.raises(ScenarioError, match="at most 1"):
+            GluedPiece(id="p", kind="product", base_euler=5)
+
     def test_annulus_must_join_two_distinct_pieces(self):
         with pytest.raises(ScenarioError):
             AnnulusGluing(id="e", pieces=("a", "a"))
@@ -232,8 +238,8 @@ class TestHandlebodyCertificate:
 
     def test_matches_rescan_oracle_on_fixed_graphs(self):
         self.assert_matches_rescan(paper_style_graph(4))
-        self.assert_matches_rescan(gluing_graph_from_dict(
-            load_builtin("doubled-handlebody").gluing_graph))
+        self.assert_matches_rescan(
+            load_builtin("doubled-handlebody").gluing_graph)
 
     def test_two_thousand_piece_tree(self, seed):
         graph = random_provable_graph(random.Random(seed + 57), 2000, 2000)

@@ -95,6 +95,24 @@ class TestExitCodes:
         code, _ = run_cli("resolve", "--scenario", "cg-pretzel-m5")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("argv", [
+        ["shifts", "--scenario", "doubled-handlebody", "--n", "99"],
+        ["reduce", "--scenario", "trivial-removal-demo", "--n", "3"],
+        ["sweep", "--scenario", "doubled-handlebody", "--from", "0",
+         "--to", "2", "--n", "3"],
+        ["trace", "--scenario", "doubled-handlebody", "--strict"],
+        ["shifts", "--scenario", "doubled-handlebody", "--strict"],
+        ["certify", "--scenario", "doubled-handlebody", "--n", "10",
+         "--level", "5", "--strict"],
+    ], ids=["shifts--n", "reduce--n", "sweep--n", "trace--strict",
+            "shifts--strict", "certify--strict"])
+    def test_flag_the_subcommand_ignores_is_usage_error(self, capsys, argv):
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_expectation_mismatch_is_two(self, tmp_path):
         raw = json.loads((schema.resources.files("hakensum") / "data"
                           / "cg_pretzel_m5.json").read_text())
@@ -219,6 +237,10 @@ TYPE_FAULTS = [
      RESOLVE),
     ("doubled_handlebody", ("expectations", "copy_parity", "value"),
      ["even"], RESOLVE),
+    ("doubled_handlebody", ("gluing_graph", "pieces", 0, "kind"), "blah",
+     ["trace"]),
+    ("doubled_handlebody", ("gluing_graph", "pieces", 1, "base_euler"),
+     "x", RESOLVE),
 ]
 
 
