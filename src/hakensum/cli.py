@@ -28,7 +28,7 @@ from .errors import HakenSumError
 from .reductions import reduce_parities, remove_trivial, torus_periodicity
 from .scenarios import Report
 from .shifts import compute_thresholds, essential_certificate
-from .surfaces import conjectured_period, resolve
+from .surfaces import conjectured_period, resolve, resolve_range
 from .disk import trace
 
 EXIT_OK = 0
@@ -207,8 +207,8 @@ def cmd_sweep(scenario, args, report):
         did_anything = True
         pc = scenario.patch_complex
         rows = []
-        for n in sweep_range:
-            resolved = resolve(pc, n)
+        for resolved in resolve_range(pc, args.n_from, args.n_to + 1):
+            n = resolved.copies
             rows.append({
                 "copies": n,
                 "components": resolved.component_count,

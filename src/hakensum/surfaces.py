@@ -13,8 +13,8 @@ from the combinatorics of the seams.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, MalformedComplexError
 
@@ -249,14 +249,212 @@ class UnionFind:
         if rx != ry:
             self.parent[ry] = rx
 
+    def roots(self):
+        """The root of every node, in node order."""
+        parent = self.parent
+        for x, root in enumerate(parent):
+            while parent[root] != root:
+                root = parent[root]
+            parent[x] = root
+        return parent
+
+
+class _Window(NamedTuple):
+    """What ``levels`` consecutive copies of G, tied to the hubs, show at
+    their ends.
+
+    A hub is an F-patch that a shift-0 seam ties to every level.  Ports
+    are numbered: G-patch j at the window's bottom level is port j, at
+    its top level port |G| + j, and hub h is port 2|G| + h.  ``ports``
+    gives each port's class.  ``classes`` holds [euler, pieces, flags,
+    first] per class over its G-nodes only: the euler sum, the piece
+    count, the set of ``oriented`` flags and the least G-patch index
+    among its members.  ``closed`` counts the components that reach no
+    port by their (euler, pieces, flags, first).
+    """
+
+    levels: int
+    ports: tuple
+    classes: tuple
+    closed: dict
+
+
+def _merge(classes, joins):
+    """Union the classes joined by the index pairs ``joins``.  Returns the
+    root of each class and, per root, its summed [euler, pieces, flags,
+    first]."""
+    uf = UnionFind(len(classes))
+    union = uf.union
+    for x, y in joins:
+        union(x, y)
+    roots = uf.roots()
+    merged = {}
+    for root, (euler, pieces, flags, first) in zip(roots, classes):
+        acc = merged.get(root)
+        if acc is None:
+            merged[root] = [euler, pieces, flags, first]
+        else:
+            acc[0] += euler
+            acc[1] += pieces
+            acc[2] |= flags
+            acc[3] = min(acc[3], first)
+    return roots, merged
+
+
+def _regroup(levels, classes, joins, ports, closed):
+    """The window whose ports are the given class indices, after the
+    joins; a merged class that keeps no port is counted in ``closed``."""
+    roots, merged = _merge(classes, joins)
+    index = {}
+    ports = tuple(index.setdefault(roots[c], len(index)) for c in ports)
+    for root, stats in merged.items():
+        if root not in index:
+            key = tuple(stats)
+            closed[key] = closed.get(key, 0) + 1
+    return _Window(levels, ports, tuple(merged[r] for r in index), closed)
+
+
+def _component(euler, pieces, flags):
+    orientable = merged_orientation(flags)
+    # Closed surfaces only: every patch boundary circle lies on a seam
+    # and every seam quadrant is re-glued, so components are closed.
+    genus = None
+    if orientable and euler % 2 == 0 and euler <= 2:
+        genus = (2 - euler) // 2
+    elif orientable:
+        # Odd euler contradicts closed + orientable: the declared
+        # orientation flags cannot have been compatible.
+        orientable = None
+    return ResolvedComponent(euler=euler, closed=True, orientable=orientable,
+                             genus=genus, piece_count=pieces)
+
+
+class _Levels:
+    """The window algebra of one patch complex.
+
+    F + nG is the derived graph of a Z-voltage graph cut to the levels
+    [1, n] (Gross & Tucker, *Topological Graph Theory*, 1987): the
+    vertices are the G-patches, each seam of shift +1 or -1 is an edge
+    whose voltage is its shift, and the hubs join every level.  Cutting
+    that periodic graph into windows of consecutive levels is
+    associative, so the window of n levels is a product of O(log n)
+    windows, each product costing O(|F| + |G| + |seams|).
+
+    Ties in (euler, pieces) go by first member, and no level is needed
+    to break them.  A seam of shift +1 or -1 that joins G-patch j at a
+    level to k one level up also ties an F-patch to j at level n and
+    another to k at level 1.  So a component that the cut to [1, n]
+    breaks always meets F, and a component without F is a whole finite
+    lift of one hub-free quotient component: its lifts are translates of
+    one another, alike in euler, pieces and flags, and its least
+    G-patch index names it.  Components with F come first, by least
+    F-patch index; the rest follow by least G-patch index, and ties
+    among those are alike.
+    """
+
+    def __init__(self, pc):
+        nf = len(pc.f_patches)
+        f_index = {p.id: i for i, p in enumerate(pc.f_patches)}
+        g_index = {p.id: j for j, p in enumerate(pc.g_patches)}
+        ng = self.ng = len(pc.g_patches)
+        self.euler_f, self.euler_g = pc.euler_f, pc.euler_g
+        ties = {}  # hub -> the G-patches its shift-0 seams tie to it
+        self.links = []  # (j, k): j at a level meets k one level up
+        self.ends = []  # (F-patch, port) met at level 1 or level n
+        self.rejoin = []  # the F-to-F joins of F + 0G
+        for seam in pc.seams:
+            (fa, ga), (fb, gb) = seam.chosen_pairs()
+            fa, fb = f_index[fa], f_index[fb]
+            ga, gb = g_index[ga], g_index[gb]
+            self.rejoin.append((fa, fb))
+            if seam.level_shift == 0:
+                ties.setdefault(fa, []).append(ga)
+                ties.setdefault(fb, []).append(gb)
+            elif seam.level_shift == 1:
+                self.links.append((ga, gb))
+                self.ends += [(fa, ng + ga), (fb, gb)]
+            else:
+                self.links.append((gb, ga))
+                self.ends += [(fa, ga), (fb, ng + gb)]
+        self.hubs = tuple(ties)
+        # F-patch i is first member i - |F|, before every G-patch index.
+        self.f_classes = tuple(
+            (p.euler, 1, frozenset((p.oriented,)), i - nf)
+            for i, p in enumerate(pc.f_patches))
+        g_classes = tuple(
+            (p.euler, 1, frozenset((p.oriented,)), j)
+            for j, p in enumerate(pc.g_patches))
+        # One level: its bottom and top ports are the same nodes, and the
+        # G-patches tied to one hub are joined through it.
+        self.unit = _regroup(
+            1, g_classes, [(tied[0], j) for tied in ties.values()
+                           for j in tied[1:]],
+            list(range(ng)) * 2 + [tied[0] for tied in ties.values()], {})
+
+    def compose(self, a, b):
+        """The window of ``a``'s levels with ``b``'s stacked on top: the
+        links join a's top level to b's bottom level, and the hubs are
+        shared.  None is the empty window."""
+        if a is None:
+            return b
+        ng, k = self.ng, len(a.classes)
+        joins = [(a.ports[ng + j], k + b.ports[up]) for j, up in self.links]
+        joins += [(a.ports[x], k + b.ports[x])
+                  for x in range(2 * ng, len(a.ports))]
+        ports = (a.ports[:ng] + tuple(k + c for c in b.ports[ng:2 * ng])
+                 + a.ports[2 * ng:])
+        closed = dict(a.closed)
+        for key, count in b.closed.items():
+            closed[key] = closed.get(key, 0) + count
+        return _regroup(a.levels + b.levels, a.classes + b.classes, joins,
+                        ports, closed)
+
+    def window(self, n):
+        """The window of levels 1..n by binary powering (None at n = 0)."""
+        result, base = None, self.unit
+        while n:
+            if n & 1:
+                result = self.compose(result, base)
+            n >>= 1
+            if n:
+                base = self.compose(base, base)
+        return result
+
+    def resolved(self, window):
+        """F + nG from the window of its n levels: the F-patches join the
+        hubs and the ports at levels 1 and n, or each other at n = 0."""
+        if window is None:
+            classes, joins, closed, copies = self.f_classes, self.rejoin, {}, 0
+        else:
+            k, ports, hub_port = len(window.classes), window.ports, 2 * self.ng
+            classes = window.classes + self.f_classes
+            joins = [(k + h, ports[hub_port + x])
+                     for x, h in enumerate(self.hubs)]
+            joins += [(k + f, ports[port]) for f, port in self.ends]
+            closed, copies = window.closed, window.levels
+        _, merged = _merge(classes, joins)
+        groups = [(euler, pieces, first, flags, 1)
+                  for euler, pieces, flags, first in merged.values()]
+        groups += [(euler, pieces, first, flags, count)
+                   for (euler, pieces, flags, first), count in closed.items()]
+        groups.sort(key=lambda g: g[:3])
+        components = []
+        for euler, pieces, _, flags, count in groups:
+            components += [_component(euler, pieces, flags)] * count
+
+        total = sum(g[0] * g[4] for g in groups)
+        expected = self.euler_f + copies * self.euler_g
+        if total != expected:
+            raise AssertionError(
+                "euler bookkeeping violated: {} != {}".format(total, expected))
+        return ResolvedSurface(components=tuple(components), copies=copies)
+
 
 def resolve(pc, copies):
     """Compute the components of the sum of F with ``copies`` copies of G.
 
-    Components are found by a union-find over integer nodes: F-patch i is
-    node i, and G-patch j at level L (levels 1..n, level 1 innermost) is
-    node nf + j*n + (L - 1), where nf = len(pc.f_patches) and n = copies.
-    Each seam contributes its edges by index arithmetic:
+    G-patch j at level L (levels 1..n, level 1 innermost) is a node, and
+    so is each F-patch.  Each seam contributes its edges:
 
     * with no copies at all the two F-sides simply re-join, recovering F;
     * otherwise the selected annuli replicate at every level.  For shift
@@ -267,81 +465,32 @@ def resolve(pc, copies):
     * shift 0 attaches every copy directly to both F-sides, with no
       interleaving.
 
-    Each component's Euler characteristic is the sum of its member patch
-    eulers (the gluing annuli contribute nothing), so the total always
-    equals ``euler_f + copies * euler_g``.  Components are ordered by
-    (euler, pieces), ties by their first member node.
+    The levels are summarised as windows (``_Levels``): O(log n)
+    compositions of O(|F| + |G| + |seams|) each, plus the size of the
+    component list.  Each component's Euler characteristic is the sum of
+    its member patch eulers (the gluing annuli contribute nothing), so
+    the total always equals ``euler_f + copies * euler_g``.  Components
+    are ordered by (euler, pieces), ties by their first member, where
+    F-patches come first in their order, then G-patch j at level L by
+    (j, L).
     """
     if copies < 0:
         raise DomainError("copies must be nonnegative")
-    n = copies
-    nf = len(pc.f_patches)
-    f_node = {p.id: i for i, p in enumerate(pc.f_patches)}
-    g_base = {p.id: nf + j * n for j, p in enumerate(pc.g_patches)}
-    size = nf + len(pc.g_patches) * n
-    uf = UnionFind(size)
-    union, find = uf.union, uf.find
-    for seam in pc.seams:
-        (fa, ga), (fb, gb) = seam.chosen_pairs()
-        fa, fb = f_node[fa], f_node[fb]
-        if n == 0:
-            union(fa, fb)
-            continue
-        a, b = g_base[ga], g_base[gb]
-        if seam.level_shift == 1:
-            union(fa, a + n - 1)
-            union(fb, b)
-            for i in range(n - 1):
-                union(a + i, b + i + 1)
-        elif seam.level_shift == -1:
-            union(fa, a)
-            union(fb, b + n - 1)
-            for i in range(1, n):
-                union(a + i, b + i - 1)
-        else:
-            for i in range(n):
-                union(fa, a + i)
-                union(fb, b + i)
+    levels = _Levels(pc)
+    return levels.resolved(levels.window(copies))
 
-    # Count each patch's nodes per root; dicts keep the order in which
-    # roots first occur, so groups come out in first-member order.
-    roots = list(map(find, range(size)))
-    groups = {}
-    members = [(p, {roots[i]: 1}) for i, p in enumerate(pc.f_patches)]
-    members += [(p, Counter(roots[nf + j * n:nf + (j + 1) * n]))
-                for j, p in enumerate(pc.g_patches)]
-    for patch, counts in members:
-        for root, count in counts.items():
-            group = groups.get(root)
-            if group is None:
-                group = groups[root] = [0, 0, set()]
-            group[0] += count * patch.euler
-            group[1] += count
-            group[2].add(patch.oriented)
 
-    components = []
-    for euler, pieces, flags in groups.values():
-        orientable = merged_orientation(flags)
-        # Closed surfaces only: every patch boundary circle lies on a seam
-        # and every seam quadrant is re-glued, so components are closed.
-        genus = None
-        if orientable and euler % 2 == 0 and euler <= 2:
-            genus = (2 - euler) // 2
-        elif orientable:
-            # Odd euler contradicts closed + orientable: the declared
-            # orientation flags cannot have been compatible.
-            orientable = None
-        components.append(ResolvedComponent(
-            euler=euler, closed=True, orientable=orientable, genus=genus,
-            piece_count=pieces))
-    components.sort(key=lambda c: c.sort_key())
-
-    total = sum(c.euler for c in components)
-    expected = pc.euler_f + copies * pc.euler_g
-    if total != expected:
-        raise AssertionError(
-            "euler bookkeeping violated: {} != {}".format(total, expected))
-    return ResolvedSurface(components=tuple(components), copies=copies)
+def resolve_range(pc, start, stop):
+    """``resolve(pc, n)`` for n in range(start, stop), in order: the window
+    grows by one level per row, so a row costs one composition."""
+    if start < 0:
+        raise DomainError("copies must be nonnegative")
+    levels = _Levels(pc)
+    window = levels.window(start)
+    for n in range(start, stop):
+        if n > start:
+            window = levels.compose(window, levels.unit)
+        yield levels.resolved(window)
 
 
 def euler_of_sum(euler_f, euler_g, copies):

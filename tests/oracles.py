@@ -2,16 +2,18 @@
 
 Everything here recomputes results from first principles, by explicit
 instantiation and brute-force enumeration, sharing no code with the
-library paths it checks.  The rescanning and listing oracles keep the
-library's earlier, slower rewrites; they build the library's move and
-proof types so that their results compare equal to the library's.
+library paths it checks.  The rescanning, listing and union-find
+oracles keep the library's earlier, slower algorithms; they build the
+library's move, proof and surface types so that their results compare
+equal to the library's.
 """
 
-from collections import deque
+from collections import Counter, deque
 
-from hakensum import Pack, ScenarioError, Slice
+from hakensum import DomainError, Pack, ScenarioError, Slice
 from hakensum.scenarios import HandlebodyProof, ProofFailure, ProofStep
-from hakensum.surfaces import UnionFind
+from hakensum.surfaces import (ResolvedComponent, ResolvedSurface, UnionFind,
+                               merged_orientation)
 
 
 def _components(nodes, edges):
@@ -81,6 +83,89 @@ def brute_force_components(pc, copies):
     comps = _components(*_sum_graph(pc, copies))
     multiset = sorted(sum(euler[m[1]] for m in comp) for comp in comps)
     return len(comps), tuple(multiset)
+
+
+def resolve_by_union_find(pc, copies):
+    """The components of F + nG by one union-find over all |F| + n|G|
+    patch copies: the same ResolvedSurface as the library's ``resolve``
+    (whose docstring gives the seam edges), component order included, at
+    O(n) cost.
+
+    F-patch i is node i, and G-patch j at level L (levels 1..n) is node
+    nf + j*n + (L - 1), where nf = len(pc.f_patches) and n = copies.
+    Components are ordered by (euler, pieces), ties by their first member
+    node, and their eulers must sum to ``euler_f + copies * euler_g``.
+    """
+    if copies < 0:
+        raise DomainError("copies must be nonnegative")
+    n = copies
+    nf = len(pc.f_patches)
+    f_node = {p.id: i for i, p in enumerate(pc.f_patches)}
+    g_base = {p.id: nf + j * n for j, p in enumerate(pc.g_patches)}
+    size = nf + len(pc.g_patches) * n
+    uf = UnionFind(size)
+    union, find = uf.union, uf.find
+    for seam in pc.seams:
+        (fa, ga), (fb, gb) = seam.chosen_pairs()
+        fa, fb = f_node[fa], f_node[fb]
+        if n == 0:
+            union(fa, fb)
+            continue
+        a, b = g_base[ga], g_base[gb]
+        if seam.level_shift == 1:
+            union(fa, a + n - 1)
+            union(fb, b)
+            for i in range(n - 1):
+                union(a + i, b + i + 1)
+        elif seam.level_shift == -1:
+            union(fa, a)
+            union(fb, b + n - 1)
+            for i in range(1, n):
+                union(a + i, b + i - 1)
+        else:
+            for i in range(n):
+                union(fa, a + i)
+                union(fb, b + i)
+
+    # Count each patch's nodes per root; dicts keep the order in which
+    # roots first occur, so groups come out in first-member order.
+    roots = list(map(find, range(size)))
+    groups = {}
+    members = [(p, {roots[i]: 1}) for i, p in enumerate(pc.f_patches)]
+    members += [(p, Counter(roots[nf + j * n:nf + (j + 1) * n]))
+                for j, p in enumerate(pc.g_patches)]
+    for patch, counts in members:
+        for root, count in counts.items():
+            group = groups.get(root)
+            if group is None:
+                group = groups[root] = [0, 0, set()]
+            group[0] += count * patch.euler
+            group[1] += count
+            group[2].add(patch.oriented)
+
+    components = []
+    for euler, pieces, flags in groups.values():
+        orientable = merged_orientation(flags)
+        # Closed surfaces only: every patch boundary circle lies on a seam
+        # and every seam quadrant is re-glued, so components are closed.
+        genus = None
+        if orientable and euler % 2 == 0 and euler <= 2:
+            genus = (2 - euler) // 2
+        elif orientable:
+            # Odd euler contradicts closed + orientable: the declared
+            # orientation flags cannot have been compatible.
+            orientable = None
+        components.append(ResolvedComponent(
+            euler=euler, closed=True, orientable=orientable, genus=genus,
+            piece_count=pieces))
+    components.sort(key=lambda c: c.sort_key())
+
+    total = sum(c.euler for c in components)
+    expected = pc.euler_f + copies * pc.euler_g
+    if total != expected:
+        raise AssertionError(
+            "euler bookkeeping violated: {} != {}".format(total, expected))
+    return ResolvedSurface(components=tuple(components), copies=copies)
 
 
 def record_order(record):

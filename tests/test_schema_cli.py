@@ -404,6 +404,46 @@ class TestReports:
         # odd copy counts disconnect the curated complex by design
         assert genus_by_copies[3] is None
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("builtin, genus, euler_f, euler_g", [
+        ("cg-pretzel-m5", lambda n: n + 4, -6, -2),
+        ("doubled-handlebody", lambda n: 2 * n + 3, -4, -4)])
+    def test_huge_copy_count_resolves_in_closed_form(self, fmt, builtin,
+                                                     genus, euler_f, euler_g):
+        # The declared genus expectation of each builtin, at a copy count
+        # no per-copy table could hold.
+        n = 10 ** 12
+        code, out = run_cli("resolve", "--scenario", builtin, "--n", str(n),
+                            "--format", fmt)
+        assert code == EXIT_OK
+        if fmt == "json":
+            report = json.loads(out)
+        else:
+            report = {key: json.loads(value) for key, value in (
+                line.split(": ", 1) for line in out.splitlines()
+                if line.startswith(("components:", "total_euler:")))}
+        assert [c["genus"] for c in report["components"]] == [genus(n)]
+        assert report["total_euler"] == euler_f + n * euler_g
+
+    def test_sweep_rows_equal_fresh_resolves(self):
+        path = str(GOLDEN / "seeded_6538.json")
+        code, out = run_cli("sweep", "--scenario", path, "--from", "0",
+                            "--to", "80", "--format", "json")
+        assert code == EXIT_OK
+        rows = json.loads(out)["progression"]
+        assert [row["copies"] for row in rows] == list(range(81))
+        for row in rows:
+            _, out = run_cli("resolve", "--scenario", path,
+                             "--n", str(row["copies"]), "--format", "json")
+            report = json.loads(out)
+            components = report["components"]
+            assert row == {
+                "copies": report["copies"],
+                "components": len(components),
+                "euler": report["total_euler"],
+                "genus": (components[0]["genus"] if len(components) == 1
+                          else None)}
+
     def test_sweep_without_sections_is_input_error(self, tmp_path):
         path = write_scenario(tmp_path, {"version": 1, "name": "hollow"})
         code, _ = run_cli("sweep", "--scenario", path,

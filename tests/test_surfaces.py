@@ -9,11 +9,11 @@ from hakensum import (DomainError, MalformedComplexError, Patch,
                       absorb_trivial_seam, conjectured_period,
                       euler_of_sum, genus_from_euler, genus_of, resolve)
 from hakensum.schema import load_builtin
-from hakensum.surfaces import UnionFind
+from hakensum.surfaces import UnionFind, resolve_range
 
 from generators import random_patch_complex, with_random_orientations
 from oracles import (brute_force_component_records, brute_force_components,
-                     record_order)
+                     record_order, resolve_by_union_find)
 
 
 class TestDescriptor:
@@ -157,6 +157,42 @@ class TestResolve:
                 assert counts[n + period] == counts[n]
         assert tested == 60
 
+    def test_windows_match_union_find_exactly(self, seed):
+        # Whole ResolvedSurface equality: component order included, so the
+        # first-member tie order must survive the window composition.
+        # Many complexes at small n catch order faults; a few go on to
+        # 64 and to powers of two and their neighbours up to 1025, which
+        # exercise every powering path.
+        rng = random.Random(seed + 16)
+        small = list(range(0, 17))
+        large = list(range(17, 65)) + sorted(
+            {2 ** k + d for k in range(6, 11) for d in (-1, 0, 1)})
+        for i in range(240):
+            pc = random_patch_complex(rng, max_f=5, max_g=6, max_seams=10)
+            if i % 3:
+                pc = with_random_orientations(rng, pc)
+            for n in small + large if i < 12 else small:
+                assert resolve(pc, n) == resolve_by_union_find(pc, n), n
+
+    def test_range_rows_equal_fresh_resolves(self, seed):
+        rng = random.Random(seed + 17)
+        for i in range(12):
+            pc = with_random_orientations(rng, random_patch_complex(
+                rng, max_f=4, max_g=5, max_seams=8))
+            assert (list(resolve_range(pc, 0, 81))
+                    == [resolve(pc, n) for n in range(81)])
+            start = rng.randint(1, 40)
+            assert (list(resolve_range(pc, start, start + 5))
+                    == [resolve(pc, n) for n in range(start, start + 5)])
+
+    def test_huge_copy_count_on_builtins(self):
+        n = 10 ** 12
+        pretzel = resolve(load_builtin("cg-pretzel-m5").patch_complex, n)
+        doubled = resolve(load_builtin("doubled-handlebody").patch_complex, n)
+        assert [c.genus for c in pretzel.components] == [n + 4]
+        assert [c.genus for c in doubled.components] == [2 * n + 3]
+        assert doubled.components[0].piece_count == 2 * n + 2
+
     def test_pretzel_complex_matches_published_genus(self):
         pc = load_builtin("cg-pretzel-m5").patch_complex
         resolved = resolve(pc, 6)
@@ -187,6 +223,7 @@ class TestUnionFind:
         assert [uf.find(x) for x in range(5)] == [3, 3, 3, 3, 4]
         uf.union(4, 1)
         assert [uf.find(x) for x in range(5)] == [4] * 5
+        assert uf.roots() == [4] * 5
 
     def test_long_chain_needs_no_recursion(self):
         size = 200_000
