@@ -160,9 +160,10 @@ class TestResolve:
     def test_windows_match_union_find_exactly(self, seed):
         # Whole ResolvedSurface equality: component order included, so the
         # first-member tie order must survive the window composition.
-        # Many complexes at small n catch order faults; a few go on to
-        # 64 and to powers of two and their neighbours up to 1025, which
-        # exercise every powering path.
+        # Many complexes at small n catch order faults, through both the
+        # flat small-n path of resolve and the windows of resolve_range;
+        # a few go on to 64 and to powers of two and their neighbours up
+        # to 1025, which exercise every powering path.
         rng = random.Random(seed + 16)
         small = list(range(0, 17))
         large = list(range(17, 65)) + sorted(
@@ -171,8 +172,11 @@ class TestResolve:
             pc = random_patch_complex(rng, max_f=5, max_g=6, max_seams=10)
             if i % 3:
                 pc = with_random_orientations(rng, pc)
-            for n in small + large if i < 12 else small:
-                assert resolve(pc, n) == resolve_by_union_find(pc, n), n
+            ns = small + large if i < 12 else small
+            expected = [resolve_by_union_find(pc, n) for n in ns]
+            assert [resolve(pc, n) for n in ns] == expected
+            assert (list(resolve_range(pc, 0, len(small)))
+                    == expected[:len(small)])
 
     def test_range_rows_equal_fresh_resolves(self, seed):
         rng = random.Random(seed + 17)
