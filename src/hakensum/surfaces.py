@@ -262,7 +262,8 @@ class UnionFind:
                 parent[y] = x
 
     def roots(self):
-        """The root of every node, in node order."""
+        """Compress every path and return the parent list, which then
+        holds the root of every node in node order."""
         parent = self.parent
         for x, root in enumerate(parent):
             while parent[root] != root:
