@@ -250,27 +250,6 @@ class UnionFind:
         if rx != ry:
             self.parent[ry] = rx
 
-    def union_all(self, pairs):
-        """``union(x, y)`` for each pair in turn, without a call per pair."""
-        parent = self.parent
-        for x, y in pairs:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            if x != y:
-                parent[y] = x
-
-    def roots(self):
-        """Compress every path and return the parent list, which then
-        holds the root of every node in node order."""
-        parent = self.parent
-        for x, root in enumerate(parent):
-            while parent[root] != root:
-                root = parent[root]
-            parent[x] = root
-        return parent
-
 
 class _Window(NamedTuple):
     """What ``levels`` consecutive copies of G, tied to the hubs, show at
@@ -297,8 +276,9 @@ def _merge(classes, joins):
     root of each class and, per root, its summed [euler, pieces, flags,
     first]."""
     uf = UnionFind(len(classes))
-    uf.union_all(joins)
-    roots = uf.roots()
+    for x, y in joins:
+        uf.union(x, y)
+    roots = list(map(uf.find, range(len(classes))))
     merged = {}
     for root, (euler, pieces, flags, first) in zip(roots, classes):
         acc = merged.get(root)
@@ -340,15 +320,8 @@ def _component(euler, pieces, flags):
                              genus=genus, piece_count=pieces)
 
 
-# Up to this many copies one union-find over every patch copy is faster
-# than composing windows: the measured crossover lies between n = 16 and
-# n = 24 on complexes of 2 to 6 G-patches.
-_FLAT_MAX = 16
-
-
 class _Levels:
-    """The levels of F + nG for one patch complex: a window algebra for
-    large n and one flat union-find for small n.
+    """The levels of F + nG for one patch complex, as a window algebra.
 
     F + nG is the derived graph of a Z-voltage graph cut to the levels
     [1, n] (Gross & Tucker, *Topological Graph Theory*, 1987): the
@@ -444,34 +417,16 @@ class _Levels:
 
     def resolved(self, window):
         """F + nG from the window of its n levels: the F-patches join the
-        hubs and the ports at levels 1 and n."""
+        hubs and the ports at levels 1 and n.  With no levels (None) the
+        F-patches re-join one another, recovering F."""
         if window is None:
-            return self.flat(0)
+            return self._surface(self.f_classes, self.rejoin, {}, 0)
         k, ports, hub_port = len(window.classes), window.ports, 2 * self.ng
         joins = [(k + h, ports[hub_port + x])
                  for x, h in enumerate(self.ties)]
         joins += [(k + f, ports[port]) for f, port in self.ends]
         return self._surface(window.classes + self.f_classes, joins,
                              window.closed, window.levels)
-
-    def flat(self, n):
-        """F + nG by one union-find over every patch copy, or over the
-        F-patches alone, re-joined, at n = 0.  F-patch i is class i and
-        G-patch j at level L class |F| + (L - 1)|G| + j."""
-        if n == 0:
-            return self._surface(self.f_classes, self.rejoin, {}, 0)
-        ng = self.ng
-        bottom = len(self.f_classes)
-        top = bottom + (n - 1) * ng
-        joins = [(bottom + level + j, bottom + level + ng + k)
-                 for level in range(0, top - bottom, ng)
-                 for j, k in self.links]
-        joins += [(h, level + j) for h, tied in self.ties.items()
-                  for j in tied for level in range(bottom, top + 1, ng)]
-        joins += [(f, (bottom if port < ng else top - ng) + port)
-                  for f, port in self.ends]
-        return self._surface(self.f_classes + self.g_classes * n, joins,
-                             {}, n)
 
     def _surface(self, classes, joins, closed, copies):
         """The ResolvedSurface of the classes after the joins, with the
@@ -509,8 +464,7 @@ def resolve(pc, copies):
     * shift 0 attaches every copy directly to both F-sides, with no
       interleaving.
 
-    Up to ``_FLAT_MAX`` copies one union-find runs over every patch copy.
-    Above it the levels are summarised as windows (``_Levels``): O(log n)
+    The levels are summarised as windows (``_Levels``): O(log n)
     compositions of O(|F| + |G| + |seams|) each, plus the size of the
     component list.  Each component's Euler characteristic is the sum of
     its member patch eulers (the gluing annuli contribute nothing), so
@@ -522,8 +476,6 @@ def resolve(pc, copies):
     if copies < 0:
         raise DomainError("copies must be nonnegative")
     levels = _Levels(pc)
-    if copies <= _FLAT_MAX:
-        return levels.flat(copies)
     return levels.resolved(levels.window(copies))
 
 

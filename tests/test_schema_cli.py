@@ -11,7 +11,7 @@ from hakensum import DualCurveCertificate, ScenarioError
 from hakensum import schema
 from hakensum.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main
 
-from oracles import walk_dual_curve
+from oracles import resolve_by_union_find, walk_dual_curve
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -425,24 +425,24 @@ class TestReports:
         assert [c["genus"] for c in report["components"]] == [genus(n)]
         assert report["total_euler"] == euler_f + n * euler_g
 
-    def test_sweep_rows_equal_fresh_resolves(self):
-        path = str(GOLDEN / "seeded_6538.json")
-        code, out = run_cli("sweep", "--scenario", path, "--from", "0",
-                            "--to", "80", "--format", "json")
+    @pytest.mark.parametrize("n", [0, 1, 16, 17])
+    def test_no_g_patches_resolve_to_f(self, tmp_path, n):
+        path = write_scenario(tmp_path, {
+            "version": 1, "name": "no-g",
+            "patch_complex": {
+                "f_patches": [{"id": "f0", "euler": 2},
+                              {"id": "f1", "euler": -2, "oriented": None},
+                              {"id": "f2", "euler": 1, "oriented": False}],
+                "g_patches": [], "seams": []}})
+        code, out = run_cli("resolve", "--scenario", path, "--n", str(n),
+                            "--format", "json")
         assert code == EXIT_OK
-        rows = json.loads(out)["progression"]
-        assert [row["copies"] for row in rows] == list(range(81))
-        for row in rows:
-            _, out = run_cli("resolve", "--scenario", path,
-                             "--n", str(row["copies"]), "--format", "json")
-            report = json.loads(out)
-            components = report["components"]
-            assert row == {
-                "copies": report["copies"],
-                "components": len(components),
-                "euler": report["total_euler"],
-                "genus": (components[0]["genus"] if len(components) == 1
-                          else None)}
+        expected = resolve_by_union_find(
+            schema.load_scenario(path).patch_complex, n)
+        assert json.loads(out)["components"] == [
+            {"closed": c.closed, "euler": c.euler, "genus": c.genus,
+             "orientable": c.orientable, "pieces": c.piece_count}
+            for c in expected.components]
 
     def test_sweep_without_sections_is_input_error(self, tmp_path):
         path = write_scenario(tmp_path, {"version": 1, "name": "hollow"})

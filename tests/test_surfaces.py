@@ -161,9 +161,9 @@ class TestResolve:
         # Whole ResolvedSurface equality: component order included, so the
         # first-member tie order must survive the window composition.
         # Many complexes at small n catch order faults, through both the
-        # flat small-n path of resolve and the windows of resolve_range;
-        # a few go on to 64 and to powers of two and their neighbours up
-        # to 1025, which exercise every powering path.
+        # powered windows of resolve and the one-level steps of
+        # resolve_range; a few go on to 64 and to powers of two and their
+        # neighbours up to 1025, which exercise every powering path.
         rng = random.Random(seed + 16)
         small = list(range(0, 17))
         large = list(range(17, 65)) + sorted(
@@ -188,6 +188,19 @@ class TestResolve:
             start = rng.randint(1, 40)
             assert (list(resolve_range(pc, start, start + 5))
                     == [resolve(pc, n) for n in range(start, start + 5)])
+
+    def test_no_g_patches_leave_f_at_every_n(self):
+        # No G-patch means no seam and windows with no G-ports: every
+        # copy count gives F's own components.
+        pc = PatchComplex(
+            [Patch(id="f0", euler=2), Patch(id="f1", euler=-2, oriented=None),
+             Patch(id="f2", euler=1, oriented=False)], [], [])
+        ns = [0, 1, 16, 17]
+        expected = [resolve_by_union_find(pc, n) for n in ns]
+        assert [resolve(pc, n) for n in ns] == expected
+        assert list(resolve_range(pc, 0, 18)) == [
+            resolve_by_union_find(pc, n) for n in range(18)]
+        assert [c.euler for c in expected[-1].components] == [-2, 1, 2]
 
     def test_pretzel_complex_matches_published_genus(self):
         pc = load_builtin("cg-pretzel-m5").patch_complex
@@ -219,10 +232,6 @@ class TestUnionFind:
         assert [uf.find(x) for x in range(5)] == [3, 3, 3, 3, 4]
         uf.union(4, 1)
         assert [uf.find(x) for x in range(5)] == [4] * 5
-        assert uf.roots() == [4] * 5
-        bulk = UnionFind(5)
-        bulk.union_all([(1, 0), (3, 2), (2, 0), (4, 1)])
-        assert bulk.roots() == [4] * 5
 
     def test_long_chain_needs_no_recursion(self):
         size = 200_000
