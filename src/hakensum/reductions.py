@@ -87,16 +87,8 @@ def _analyse_trivial_seam(pc, seam_id):
     g_by_id = {p.id: p for p in pc.g_patches}
 
     def is_innermost_disk(pid):
-        if g_by_id[pid].euler != 1:
-            return False
-        for s in pc.seams:
-            count = list(s.quadrants[1::2]).count(pid)
-            if s.id == seam_id:
-                if count != 1:
-                    return False
-            elif count:
-                return False
-        return True
+        return (g_by_id[pid].euler == 1
+                and pc.incidences[pid] == [seam_id])
 
     if is_innermost_disk(ga0) and not is_innermost_disk(gb0):
         disk, neighbour = ga0, gb0
@@ -351,8 +343,8 @@ def torus_periodicity(period, copy_range, euler_splitting=None):
     """Partition copy counts by residue: adding ``period`` copies of the
     torus gives an isotopic surface, so a sweep meets at most ``period``
     isotopy classes.  A torus contributes nothing to Euler characteristic,
-    so the sum's euler is constant across the sweep; the constant is
-    checked exactly when ``euler_splitting`` is supplied.
+    so the sum's euler is constant across the sweep: ``euler_splitting``,
+    when supplied, is reported as that constant, not checked.
     """
     if period <= 0:
         raise UndefinedPeriodError(
@@ -362,14 +354,8 @@ def torus_periodicity(period, copy_range, euler_splitting=None):
         by_residue.setdefault(n % period, []).append(n)
     classes = tuple(tuple(sorted(v))
                     for v in sorted(by_residue.values(), key=min))
-    constant = None
-    if euler_splitting is not None:
-        for n in copy_range:
-            if euler_of_sum(euler_splitting, 0, n) != euler_splitting:
-                raise AssertionError("torus euler additivity violated")
-        constant = euler_splitting
     return PeriodicityReport(period=period, classes=classes,
-                             euler_constant=constant)
+                             euler_constant=euler_splitting)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import CertificateError, DomainError, RangeError
 
@@ -76,9 +77,6 @@ class SideSystem:
     def shifts(self):
         return tuple(shift(b) for b in self.betas)
 
-    def all_shifts_zero(self):
-        return all(s == 0 for s in self.shifts())
-
 
 @dataclass(frozen=True)
 class LiftWalk:
@@ -112,10 +110,9 @@ def lift_beta(beta, start_level, copies):
     if not 1 <= start_level <= copies:
         raise DomainError(
             "start level {} outside [1, {}]".format(start_level, copies))
-    levels = [start_level]
-    for c in beta.crossings:
-        levels.append(levels[-1] + c)
-    return LiftWalk(levels=tuple(levels), copies=copies)
+    return LiftWalk(
+        levels=tuple(accumulate(beta.crossings, initial=start_level)),
+        copies=copies)
 
 
 @dataclass(frozen=True)
@@ -123,10 +120,11 @@ class ShiftProfile:
     """Shift data of both sides with the derived thresholds.
 
     ``max_crossing_count`` bounds how far any single lift can stray from
-    its start level.  ``shift_lcm`` is the least common multiple of a pair
-    of opposite-side shift magnitudes, minimised over pairs, under the
-    conventions lcm(x, 0) = infinity and min of an all-infinite set = 0;
-    in particular it is 0 whenever one side has all shifts zero.
+    its start level.  ``least_pair`` is (lcm, j, k) for the arcs j on the
+    prime side and k on the double-prime side, both of nonzero shift,
+    whose shift magnitudes have the least lcm (lexicographically least
+    on ties); it is None when one side has all shifts zero.
+    ``shift_lcm`` is that lcm, or 0 when there is no such pair.
     ``margin`` is the largest of the boundary count, the crossing bound
     and the lcm threshold: level curves strictly inside the margin are
     certified essential.
@@ -135,29 +133,34 @@ class ShiftProfile:
     shifts_prime: tuple
     shifts_dblprime: tuple
     max_crossing_count: int
-    shift_lcm: int
-    margin: int
+    least_pair: tuple | None
     boundary_count: int
+
+    @property
+    def shift_lcm(self):
+        return self.least_pair[0] if self.least_pair else 0
+
+    @property
+    def margin(self):
+        return max(self.boundary_count, self.max_crossing_count,
+                   self.shift_lcm)
 
 
 def compute_thresholds(boundary_count, side_prime, side_dblprime):
     """Aggregate both side systems into a ShiftProfile."""
     if boundary_count < 0:
         raise DomainError("boundary_count must be nonnegative")
-    crossing_max = max(len(b.crossings)
-                       for b in side_prime.betas + side_dblprime.betas)
-    finite = [
-        math.lcm(abs(a), abs(b))
-        for a in side_prime.shifts() if a != 0
-        for b in side_dblprime.shifts() if b != 0
-    ]
-    lcm_threshold = min(finite) if finite else 0
+    shifts_prime = side_prime.shifts()
+    shifts_dblprime = side_dblprime.shifts()
     return ShiftProfile(
-        shifts_prime=side_prime.shifts(),
-        shifts_dblprime=side_dblprime.shifts(),
-        max_crossing_count=crossing_max,
-        shift_lcm=lcm_threshold,
-        margin=max(boundary_count, crossing_max, lcm_threshold),
+        shifts_prime=shifts_prime,
+        shifts_dblprime=shifts_dblprime,
+        max_crossing_count=max(len(b.crossings) for b in
+                               side_prime.betas + side_dblprime.betas),
+        least_pair=min(((math.lcm(abs(a), abs(b)), j, k)
+                        for j, a in enumerate(shifts_prime) if a != 0
+                        for k, b in enumerate(shifts_dblprime) if b != 0),
+                       default=None),
         boundary_count=boundary_count,
     )
 
@@ -238,10 +241,10 @@ def validate_certificate(cert):
     """Re-walk a certificate arc by arc and check its defining laws.
 
     For a dual-curve certificate: every recorded start level and both
-    terminals lie in [1, copies]; each lift, walked step by step through
-    its crossing word, ends one shift higher; consecutive lifts chain; the
-    two paths both run from the base level to base + period, closing up;
-    and the base level occurs exactly once as a vertex of the closed
+    terminals lie in [1, copies]; each lift, walked with ``lift_beta``
+    through its crossing word, ends one shift higher; the lifts chain from
+    the base level, and the two paths both end at base + period, closing
+    up; and the base level occurs exactly once as a vertex of the closed
     curve.  For a zero-side certificate: the Euler inequality is strict.
     Raises CertificateError on any violation, returns True otherwise.
     """
@@ -252,21 +255,25 @@ def validate_certificate(cert):
                     cert.side_euler, cert.sum_euler))
         return True
 
-    def walk_path(levels, crossings, step):
+    def walk_path(side, index, crossings, levels, step):
+        try:
+            beta = BetaArc(side, index, crossings)
+        except DomainError as exc:
+            raise CertificateError(str(exc)) from None
+        if not levels:
+            raise CertificateError("a path needs at least one lift")
         seen = []
-        at = None
+        at = cert.level
         for start in levels:
             if not 1 <= start <= cert.copies:
                 raise CertificateError(
                     "lift level {} outside [1, {}]".format(
                         start, cert.copies))
-            if at is not None and start != at:
+            if start != at:
                 raise CertificateError(
-                    "lift at level {} does not chain onto the previous "
-                    "terminal {}".format(start, at))
-            at = start
-            for c in crossings:
-                at += c
+                    "lift at level {} does not chain onto level {}".format(
+                        start, at))
+            at = lift_beta(beta, start, cert.copies).terminal
             if at != start + step:
                 raise CertificateError("crossing word does not realise "
                                        "the claimed shift")
@@ -274,13 +281,13 @@ def validate_certificate(cert):
         seen.append(at)
         return seen
 
-    prime_vertices = walk_path(cert.prime_levels, cert.prime_crossings,
+    prime_vertices = walk_path("prime", cert.prime_index,
+                               cert.prime_crossings, cert.prime_levels,
                                cert.prime_shift)
-    dbl_vertices = walk_path(cert.dblprime_levels, cert.dblprime_crossings,
+    dbl_vertices = walk_path("dblprime", cert.dblprime_index,
+                             cert.dblprime_crossings, cert.dblprime_levels,
                              cert.dblprime_shift)
     top = cert.level + cert.period
-    if prime_vertices[0] != cert.level or dbl_vertices[0] != cert.level:
-        raise CertificateError("paths must start at the base level")
     if prime_vertices[-1] != top or dbl_vertices[-1] != top:
         raise CertificateError(
             "paths end at {} and {}, expected {}".format(
@@ -302,11 +309,11 @@ def essential_certificate(level, copies, profile, side_prime,
 
     Requires margin < level < copies - margin.  If one side has all
     shifts zero the certificate is the Euler characteristic inequality;
-    the prime side is preferred when both qualify.  Otherwise a pair of
-    arcs with nonzero shifts r, s realising the minimal lcm is chosen
-    (lexicographically least pair on ties, orientations flipped to make
-    both shifts positive) and the dual closed curve is assembled from
-    lcm(r, s)/r lifts on one side and lcm(r, s)/s on the other.
+    the prime side is preferred when both qualify.  Otherwise the
+    profile's least pair of arcs, with nonzero shifts r, s realising the
+    minimal lcm, is taken (orientations flipped to make both shifts
+    positive) and the dual closed curve is assembled from lcm(r, s)/r
+    lifts on one side and lcm(r, s)/s on the other.
     """
     margin = profile.margin
     if not margin < level < copies - margin:
@@ -314,39 +321,19 @@ def essential_certificate(level, copies, profile, side_prime,
             "level {} outside the certified band ({}, {})".format(
                 level, margin, copies - margin))
 
-    for side_name, system in (("prime", side_prime),
-                              ("dblprime", side_dblprime)):
-        if system.all_shifts_zero():
-            cert = ZeroSideCertificate(
-                side=side_name,
-                level=level,
-                copies=copies,
-                side_euler=eulers.side(side_name),
-                sum_euler=eulers.splitting + copies * eulers.summand,
-            )
-            validate_certificate(cert)
-            return cert
+    if profile.least_pair is None:
+        side_name = "dblprime" if any(profile.shifts_prime) else "prime"
+        cert = ZeroSideCertificate(
+            side=side_name,
+            level=level,
+            copies=copies,
+            side_euler=eulers.side(side_name),
+            sum_euler=eulers.splitting + copies * eulers.summand,
+        )
+        validate_certificate(cert)
+        return cert
 
-    best = None
-    for j, sj in enumerate(profile.shifts_prime):
-        if sj == 0:
-            continue
-        for k, sk in enumerate(profile.shifts_dblprime):
-            if sk == 0:
-                continue
-            t = math.lcm(abs(sj), abs(sk))
-            key = (t, j, k)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise CertificateError(
-            "no arc pair with nonzero shifts on both sides")
-    period, j, k = best
-    if period != profile.shift_lcm:
-        raise CertificateError(
-            "minimal lcm {} disagrees with the profile threshold {}".format(
-                period, profile.shift_lcm))
-
+    period, j, k = profile.least_pair
     beta_prime = side_prime.betas[j]
     if shift(beta_prime) < 0:
         beta_prime = beta_prime.reversed()

@@ -35,10 +35,7 @@ class SurfaceDescriptor:
         if self.boundary_components < 0:
             raise DomainError("boundary_components must be nonnegative")
         if self.closed and self.orientable:
-            if self.euler % 2 != 0 or self.euler > 2:
-                raise DomainError(
-                    "a closed orientable surface has even euler "
-                    "characteristic at most 2, got {}".format(self.euler))
+            genus_from_euler(self.euler)
 
     @property
     def closed(self):
@@ -124,7 +121,8 @@ class PatchComplex:
     The F-side quadrants of every seam must name F-patches and the G-side
     quadrants G-patches; declared seam incidences, when present, must
     agree with the quadrants.  Optional surface descriptors pin the total
-    Euler characteristic of each side.
+    Euler characteristic of each side.  ``incidences`` maps each patch id
+    to the ids of the seams whose quadrants name it, with multiplicity.
     """
 
     def __init__(self, f_patches, g_patches, seams,
@@ -149,7 +147,7 @@ class PatchComplex:
             raise MalformedComplexError("duplicate seam id")
 
         f_set, g_set = set(f_ids), set(g_ids)
-        derived = {pid: [] for pid in f_ids + g_ids}
+        incidences = self.incidences = {pid: [] for pid in f_ids + g_ids}
         for seam in self.seams:
             f1, g1, f2, g2 = seam.quadrants
             for pid in (f1, f2):
@@ -163,15 +161,15 @@ class PatchComplex:
                         "seam {} references missing G-patch {!r}".format(
                             seam.id, pid))
             for pid in seam.quadrants:
-                derived[pid].append(seam.id)
+                incidences[pid].append(seam.id)
         for patch in self.f_patches + self.g_patches:
             if patch.seams is not None:
-                if sorted(patch.seams) != sorted(derived[patch.id]):
+                if sorted(patch.seams) != sorted(incidences[patch.id]):
                     raise MalformedComplexError(
                         "patch {}: declared seam incidences {} do not match "
                         "the seam quadrants {}".format(
                             patch.id, sorted(patch.seams),
-                            sorted(derived[patch.id])))
+                            sorted(incidences[patch.id])))
 
         if self.f_descriptor is not None:
             if self.euler_f != self.f_descriptor.euler:
@@ -310,12 +308,13 @@ def _component(euler, pieces, flags):
     # Closed surfaces only: every patch boundary circle lies on a seam
     # and every seam quadrant is re-glued, so components are closed.
     genus = None
-    if orientable and euler % 2 == 0 and euler <= 2:
-        genus = (2 - euler) // 2
-    elif orientable:
-        # Odd euler contradicts closed + orientable: the declared
-        # orientation flags cannot have been compatible.
-        orientable = None
+    if orientable:
+        try:
+            genus = genus_from_euler(euler)
+        except DomainError:
+            # No closed orientable surface has this euler: the declared
+            # orientation flags cannot have been compatible.
+            orientable = None
     return ResolvedComponent(euler=euler, closed=True, orientable=orientable,
                              genus=genus, piece_count=pieces)
 
@@ -473,10 +472,7 @@ def resolve(pc, copies):
     F-patches come first in their order, then G-patch j at level L by
     (j, L).
     """
-    if copies < 0:
-        raise DomainError("copies must be nonnegative")
-    levels = _Levels(pc)
-    return levels.resolved(levels.window(copies))
+    return next(resolve_range(pc, copies, copies + 1))
 
 
 def resolve_range(pc, start, stop):

@@ -1,0 +1,78 @@
+"""Faults that still reproduce, pinned as strict expected failures.
+
+Each test states the behaviour the fault breaks.  When a fix lands, its
+test passes, strict xfail turns that into a failure, and the marker must
+be removed with the fix.
+"""
+
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from hakensum import (AnnulusGluing, BetaArc, GluedPiece, GluingGraph,
+                      HakenSumError, SideSystem, SumEulers,
+                      compute_thresholds, essential_certificate,
+                      handlebody_certificate, lift_beta)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.xfail(strict=True, reason="the validator checks only each "
+                   "lift's endpoints, so a lift may leave [1, n] between them")
+def test_certified_lifts_stay_in_the_band():
+    # Shifts 1 and 5, margin 5: level 14 of 20 is in the certified band,
+    # yet the prime lift from 18 walks 18, 19, 20, 21, 20, 19.
+    prime = SideSystem("prime", (BetaArc("prime", 1, (1, 1, 1, -1, -1)),),
+                       alpha_count=1)
+    dbl = SideSystem("dblprime", (BetaArc("dblprime", 1, (1,) * 5),),
+                     alpha_count=1)
+    eulers = SumEulers(splitting=-4, summand=-2, prime_side=-2,
+                       dblprime_side=-2)
+    profile = compute_thresholds(2, prime, dbl)
+    try:
+        cert = essential_certificate(14, 20, profile, prime, dbl, eulers)
+    except HakenSumError:
+        return
+    for side, levels, crossings in (
+            ("prime", cert.prime_levels, cert.prime_crossings),
+            ("dblprime", cert.dblprime_levels, cert.dblprime_crossings)):
+        arc = BetaArc(side, 1, crossings)
+        for start in levels:
+            assert not lift_beta(arc, start, cert.copies).escaped
+
+
+def _cap_address_space():
+    limit = 1024 ** 3
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.xfail(strict=True, reason="resolve expands one component per "
+                   "copy, so a huge n on a growing complex runs out of memory")
+def test_huge_copy_count_keeps_the_exit_contract():
+    run = subprocess.run(
+        [sys.executable, "-m", "hakensum.cli", "resolve", "--scenario",
+         str(ROOT / "tests" / "golden" / "seeded_6538.json"),
+         "--n", "1000000000000"],
+        cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")},
+        preexec_fn=_cap_address_space, capture_output=True, text=True,
+        timeout=120)
+    assert run.returncode in (0, 2, 3)
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.xfail(strict=True, reason="an annulus primitive in a genus-0 "
+                   "handlebody is accepted, and the genus drops below 0")
+def test_no_handlebody_proof_of_negative_genus():
+    graph = GluingGraph(
+        pieces=(GluedPiece(id="a", kind="handlebody", genus=0),
+                GluedPiece(id="b", kind="handlebody", genus=0)),
+        gluings=(AnnulusGluing(id="e", pieces=("a", "b"),
+                               primitive_in="a"),))
+    try:
+        proof = handlebody_certificate(graph)
+    except HakenSumError:
+        return
+    assert not proof.succeeded or proof.genus >= 0

@@ -1,12 +1,14 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hakensum import (BetaArc, CertificateError, DomainError, RangeError,
-                      SideSystem, SumEulers, annulus_shift_contradiction,
+                      SideSystem, SumEulers, ZeroSideCertificate,
+                      annulus_shift_contradiction,
                       compute_thresholds, essential_certificate, lift_beta,
                       shift, validate_certificate)
 
@@ -214,6 +216,63 @@ class TestCertificates:
         profile = compute_thresholds(0, prime, dbl)
         cert = essential_certificate(10, 30, profile, prime, dbl, EULERS)
         assert (cert.prime_index, cert.dblprime_index) == (1, 1)
+
+
+def _example_certificate():
+    # Shifts 2 and 3 at level 10 of 30: prime lifts at 10, 12, 14 and
+    # double-prime lifts at 10, 13, both paths ending at 16.
+    prime = SideSystem("prime", (beta((1, 1)),))
+    dbl = SideSystem("dblprime", (beta((1, 1, 1), side="dblprime"),))
+    profile = compute_thresholds(0, prime, dbl)
+    return essential_certificate(10, 30, profile, prime, dbl, EULERS)
+
+
+# One corruption per law of a dual-curve certificate.
+CORRUPTIONS = {
+    "start level outside the band": dict(
+        level=-2, prime_levels=(-2, 0, 2), dblprime_levels=(-2, 1)),
+    "broken chain": dict(prime_levels=(10, 13, 14)),
+    "crossing word misses the shift": dict(prime_crossings=(1, -1)),
+    "first lift not at the base": dict(prime_levels=(12, 14)),
+    "wrong period": dict(period=8),
+    "terminal outside the band": dict(copies=15),
+    "base level revisited": dict(
+        prime_crossings=(1, -1), prime_shift=0, prime_levels=(10, 10),
+        period=0, dblprime_levels=()),
+}
+
+
+class TestValidatorLaws:
+    def test_example_is_valid(self):
+        cert = _example_certificate()
+        assert validate_certificate(cert)
+        assert walk_dual_curve(cert)
+
+    @pytest.mark.parametrize("law", sorted(CORRUPTIONS))
+    def test_dual_curve_corruption_rejected(self, law):
+        broken = replace(_example_certificate(), **CORRUPTIONS[law])
+        with pytest.raises(CertificateError):
+            validate_certificate(broken)
+        assert not walk_dual_curve(broken)
+
+    def test_zero_side_inequality_failure_rejected(self):
+        cert = ZeroSideCertificate(side="prime", level=5, copies=10,
+                                   side_euler=-2, sum_euler=-1)
+        with pytest.raises(CertificateError):
+            validate_certificate(cert)
+        assert not check_zero_side(cert)
+
+    def test_path_without_lifts_rejected(self):
+        # A zero period with no lifts is no closed curve at all.
+        broken = replace(_example_certificate(), period=0, prime_levels=(),
+                         dblprime_levels=())
+        with pytest.raises(CertificateError):
+            validate_certificate(broken)
+
+    def test_crossing_entry_other_than_unit_rejected(self):
+        broken = replace(_example_certificate(), prime_crossings=(2,))
+        with pytest.raises(CertificateError):
+            validate_certificate(broken)
 
 
 class TestAnnulusContradiction:
