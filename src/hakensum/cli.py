@@ -19,6 +19,7 @@ is a usage error.  Under ``--strict`` a failed check writes
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -262,6 +263,9 @@ SUBCOMMANDS = {
 }
 
 
+# Built once per process: parse_args keeps no state on the parser between
+# calls, so in-process callers of main share one.
+@functools.cache
 def build_parser():
     parser = _Parser(prog="hakensum",
                      description="resolve, trace and certify iterated "

@@ -266,15 +266,20 @@ def splice_components(word, copies):
 def walk_dual_curve(cert):
     """Step-by-step check of a dual-curve certificate.
 
-    Returns True when both lift paths chain correctly from the base
-    level to base + period, all recorded levels lie in the band, and the
-    closed curve passes through the base level exactly once.
+    Returns True when the period is positive, every crossing entry is
+    +1 or -1, both lift paths have at least one lift and chain correctly
+    from the base level to base + period, all recorded levels lie in the
+    band, and the closed curve passes through the base level exactly once.
     """
+    if cert.period <= 0:
+        return False
     base, top = cert.level, cert.level + cert.period
     for levels, crossings, shift_value in (
             (cert.prime_levels, cert.prime_crossings, cert.prime_shift),
             (cert.dblprime_levels, cert.dblprime_crossings,
              cert.dblprime_shift)):
+        if not levels or any(c not in (-1, 1) for c in crossings):
+            return False
         visited = []
         position = base
         for start in levels:

@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -8,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hakensum import DualCurveCertificate, ScenarioError
-from hakensum import schema
+from hakensum import cli, schema
 from hakensum.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main
 
 from oracles import resolve_by_union_find, walk_dual_curve
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -486,3 +489,91 @@ class TestExitContract:
             code = main(argv)
         assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_INPUT)
         assert "Traceback" not in err.getvalue()
+
+
+def _run_captured(argv):
+    """(exit code, stdout, stderr) of one in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+README_TEXT = ["resolve", "--scenario", "cg-pretzel-m5", "--n", "6"]
+README_JSON = README_TEXT + ["--format", "json"]
+# A README call in both formats, an unknown flag, an unknown subcommand,
+# --help and a --strict mismatch, then the first two again.
+STATE_SEQUENCE = [
+    README_TEXT,
+    README_JSON,
+    README_TEXT + ["--bogus"],
+    ["bogus", "--scenario", "cg-pretzel-m5"],
+    ["resolve", "--help"],
+    ["resolve", "--scenario", str(GOLDEN / "genus_mismatch.json"),
+     "--n", "6", "--strict"],
+    README_TEXT,
+    README_JSON,
+]
+
+
+class TestSharedParser:
+    """``build_parser`` builds one parser per process, and sharing it
+    across ``main`` calls changes no byte and no exit code."""
+
+    def test_no_parser_built_after_the_first_call(self, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        mixed = [
+            README_TEXT,
+            README_JSON,
+            ["sweep", "--scenario", "doubled-handlebody", "--from", "0",
+             "--to", "5"],
+            ["trace", "--scenario", "doubled-handlebody", "--n", "12"],
+            ["shifts", "--scenario", "doubled-handlebody"],
+            ["certify", "--scenario", "doubled-handlebody", "--n", "10",
+             "--level", "5", "--format", "json"],
+            ["reduce", "--scenario", "trivial-removal-demo"],
+            ["shifts", "--scenario", "doubled-handlebody", "--n", "3"],
+            ["bogus"],
+            ["resolve", "--scenario", "no-such-file.json", "--n", "2"],
+        ]
+        codes = [_run_captured(mixed[0])[0]]
+        after_first = len(built)
+        codes += [_run_captured(mixed[i % len(mixed)])[0]
+                  for i in range(1, 50)]
+        assert set(codes) == {EXIT_OK, EXIT_INPUT}
+        assert len(built) == after_first
+        # The counter does see construction.
+        cli._Parser(prog="probe")
+        assert len(built) == after_first + 1
+
+    def test_shared_parser_matches_a_fresh_process(self, monkeypatch):
+        # Help text wraps to the terminal width; pin it on both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        in_process = [_run_captured(argv) for argv in STATE_SEQUENCE]
+        fresh = {}
+        for argv in STATE_SEQUENCE:
+            key = tuple(argv)
+            if key not in fresh:
+                run = subprocess.run(
+                    [sys.executable, "-m", "hakensum.cli", *argv],
+                    cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src"),
+                                   "COLUMNS": "80"},
+                    capture_output=True, text=True, timeout=60)
+                fresh[key] = (run.returncode, run.stdout, run.stderr)
+        assert len(fresh) == 6
+        assert [code for code, _, _ in in_process] == [
+            EXIT_OK, EXIT_OK, EXIT_INPUT, EXIT_INPUT, 0, EXIT_MISMATCH,
+            EXIT_OK, EXIT_OK]
+        assert "usage: hakensum resolve" in in_process[4][1]
+        for argv, result in zip(STATE_SEQUENCE, in_process):
+            assert result == fresh[tuple(argv)], argv

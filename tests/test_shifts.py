@@ -268,11 +268,13 @@ class TestValidatorLaws:
                          dblprime_levels=())
         with pytest.raises(CertificateError):
             validate_certificate(broken)
+        assert not walk_dual_curve(broken)
 
     def test_crossing_entry_other_than_unit_rejected(self):
         broken = replace(_example_certificate(), prime_crossings=(2,))
         with pytest.raises(CertificateError):
             validate_certificate(broken)
+        assert not walk_dual_curve(broken)
 
 
 class TestAnnulusContradiction:
