@@ -94,8 +94,7 @@ def _component_dicts(resolved):
 
 def _apply_resolve_expectations(report, scenario, resolved, copies):
     exp = scenario.expectations
-    parity = exp.get("copy_parity", {}).get("value")
-    if parity == "even" and copies % 2 != 0:
+    if "copy_parity" in exp and copies % 2 != 0:
         report.values["expectations_skipped"] = (
             "declared only for even copy counts")
         return
@@ -223,19 +222,15 @@ def cmd_sweep(scenario, args, report):
 
     if scenario.inventory is not None and scenario.inventory.torus_mode:
         did_anything = True
-        inv = scenario.inventory
-        exp = scenario.expectations
-        period = torus_periodicity(
-            len(inv.curves), sweep_range,
-            euler_splitting=exp.get("euler_constant", {}).get("value"))
+        period = torus_periodicity(len(scenario.inventory.curves),
+                                   sweep_range)
         report.values.update(
             residue_period=period.period,
             residue_classes=[list(c) for c in period.classes])
-        for name, actual in (("residue_classes", period.class_count),
-                             ("euler_constant", period.euler_constant)):
-            if name in exp:
-                report.check(name, exp[name]["value"], actual,
-                             exp[name]["source"])
+        entry = scenario.expectations.get("residue_classes")
+        if entry is not None:
+            report.check("residue_classes", entry["value"],
+                         period.class_count, entry["source"])
 
     if not did_anything:
         raise HakenSumError(

@@ -58,9 +58,6 @@ class DiskPattern:
         if self.crossing_components is None:
             object.__setattr__(self, "crossing_components",
                                len(self.word) // 2 + self.inner_closed)
-        if self.inner_closed > self.crossing_components:
-            raise DomainError(
-                "inner_closed exceeds the number of intersection components")
         if self.crossing_components < len(self.word) // 2 + self.inner_closed:
             raise DomainError(
                 "the intersection has at least one component per boundary "

@@ -20,8 +20,7 @@ from .errors import (DisconnectionError, DomainError, GuardViolationError,
                      InsufficientCopiesError, MalformedComplexError,
                      UndefinedPeriodError)
 from .surfaces import (Patch, PatchComplex, SeamCurve, UnionFind,
-                       euler_of_sum, level_components, merged_orientation,
-                       resolve)
+                       level_components, merged_orientation, resolve)
 
 PARITIES = ("+", "-")
 
@@ -261,9 +260,6 @@ def remove_trivial(inv, pc=None):
             raise MalformedComplexError(
                 "absorbing {} trivial seams changed the resolution "
                 "profile: {} != {}".format(m, before, after))
-        expected = euler_of_sum(pc.euler_f, pc.euler_g, inv.copies)
-        if resolved_after.total_euler != expected:
-            raise MalformedComplexError("euler law violated by absorption")
     return RemovalOutcome(inventory=cleaned, removed=m, complex=new_pc,
                           profile_before=before, profile_after=after)
 
@@ -332,19 +328,16 @@ class PeriodicityReport:
 
     period: int
     classes: tuple
-    euler_constant: int | None
 
     @property
     def class_count(self):
         return len(self.classes)
 
 
-def torus_periodicity(period, copy_range, euler_splitting=None):
+def torus_periodicity(period, copy_range):
     """Partition copy counts by residue: adding ``period`` copies of the
     torus gives an isotopic surface, so a sweep meets at most ``period``
-    isotopy classes.  A torus contributes nothing to Euler characteristic,
-    so the sum's euler is constant across the sweep: ``euler_splitting``,
-    when supplied, is reported as that constant, not checked.
+    isotopy classes.
     """
     if period <= 0:
         raise UndefinedPeriodError(
@@ -354,8 +347,7 @@ def torus_periodicity(period, copy_range, euler_splitting=None):
         by_residue.setdefault(n % period, []).append(n)
     classes = tuple(tuple(sorted(v))
                     for v in sorted(by_residue.values(), key=min))
-    return PeriodicityReport(period=period, classes=classes,
-                             euler_constant=euler_splitting)
+    return PeriodicityReport(period=period, classes=classes)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ KNOWN_EXPECTATIONS = {
     "connected": {"value": ((bool,), "a boolean")},
     "copy_parity": {"value": ((str,), "a string")},
     "residue_classes": {"value": _INT},
-    "euler_constant": {"value": _INT},
 }
 PROVENANCE_TAGS = ("reference", "derived")
 
@@ -222,6 +221,12 @@ def expectations_from_dict(d):
         for field, (types, label) in KNOWN_EXPECTATIONS[key].items():
             _require_typed(entry, field, "expectations." + key, types,
                            label)
+        # The one parity that resolve reads; any other would load and
+        # silently turn the skip off.
+        if key == "copy_parity" and entry["value"] != "even":
+            raise ScenarioError(
+                "expectation 'copy_parity' takes only 'even', got "
+                "{!r}".format(entry["value"]))
     return dict(d)
 
 
@@ -234,14 +239,10 @@ def _piece_from_dict(d, context):
 
 
 def _gluing_from_dict(d, context):
-    ends = _require_list(d, "pieces", context, (str,), "a piece id")
-    if len(ends) != 2:
-        raise ScenarioError(
-            "{}: field 'pieces' must list two piece ids, got {!r}".format(
-                context, ends))
     return AnnulusGluing(
         id=_require_str(d, "id", context),
-        pieces=tuple(ends),
+        pieces=tuple(_require_list(d, "pieces", context, (str,),
+                                   "a piece id")),
         primitive_in=_require_typed(
             d, "primitive_in", context, (str,), "a string or null", None),
         incompressible=_flag(d, "incompressible", context, False))
@@ -289,7 +290,7 @@ def scenario_from_dict(d):
         raise ScenarioError(
             "unknown sections {}".format(sorted(unknown)))
     version = _require(d, "version", "scenario")
-    if version != SCHEMA_VERSION:
+    if not _is(version, (int,)) or version != SCHEMA_VERSION:
         raise ScenarioError(
             "unsupported schema version {!r} (expected {})".format(
                 version, SCHEMA_VERSION))
@@ -298,7 +299,8 @@ def scenario_from_dict(d):
         return parse(_object(d[key], key)) if key in d else None
 
     return ScenarioFile(
-        name=d.get("name", "unnamed"),
+        name=_require_typed(d, "name", "scenario", (str,), "a string",
+                            "unnamed"),
         description=tuple(_require_typed(d, "description", "scenario",
                                          (list,), "a list", ())),
         patch_complex=section("patch_complex", patch_complex_from_dict),

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import CertificateError, DomainError, RangeError
+from .surfaces import euler_of_sum
 
 
 @dataclass(frozen=True)
@@ -328,7 +329,8 @@ def essential_certificate(level, copies, profile, side_prime,
             level=level,
             copies=copies,
             side_euler=eulers.side(side_name),
-            sum_euler=eulers.splitting + copies * eulers.summand,
+            sum_euler=euler_of_sum(eulers.splitting, eulers.summand,
+                                   copies),
         )
         validate_certificate(cert)
         return cert

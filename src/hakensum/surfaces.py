@@ -441,7 +441,7 @@ class _Levels:
             components += [_component(euler, pieces, flags)] * count
 
         total = sum(g[0] * g[4] for g in groups)
-        expected = self.euler_f + copies * self.euler_g
+        expected = euler_of_sum(self.euler_f, self.euler_g, copies)
         if total != expected:
             raise AssertionError(
                 "euler bookkeeping violated: {} != {}".format(total, expected))
@@ -467,10 +467,10 @@ def resolve(pc, copies):
     compositions of O(|F| + |G| + |seams|) each, plus the size of the
     component list.  Each component's Euler characteristic is the sum of
     its member patch eulers (the gluing annuli contribute nothing), so
-    the total always equals ``euler_f + copies * euler_g``.  Components
-    are ordered by (euler, pieces), ties by their first member, where
-    F-patches come first in their order, then G-patch j at level L by
-    (j, L).
+    the total always equals ``euler_of_sum(euler_f, euler_g, copies)``.
+    Components are ordered by (euler, pieces), ties by their first
+    member, where F-patches come first in their order, then G-patch j at
+    level L by (j, L).
     """
     return next(resolve_range(pc, copies, copies + 1))
 

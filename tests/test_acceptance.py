@@ -189,10 +189,8 @@ def test_torus_conservation_and_periodicity(seed):
         for period in range(1, 7):
             for start in (0, 1, 5):
                 sweep = range(start, start + period * 3 + 2)
-                report = torus_periodicity(period, sweep,
-                                           euler_splitting=-4)
+                report = torus_periodicity(period, sweep)
                 assert report.class_count == period
-                assert report.euler_constant == -4
                 assert [list(c) for c in report.classes] == residue_classes(
                     period, sweep)
 

@@ -208,10 +208,6 @@ class TestTorusPeriodicity:
         with pytest.raises(UndefinedPeriodError):
             torus_periodicity(0, range(1, 5))
 
-    def test_euler_constant(self):
-        report = torus_periodicity(3, range(1, 30), euler_splitting=-4)
-        assert report.euler_constant == -4
-
     def test_matches_residue_oracle(self, seed):
         rng = random.Random(seed + 44)
         for _ in range(100):

@@ -43,8 +43,10 @@ class TestSchema:
             schema.scenario_from_dict({"version": 1, "surprise": {}})
 
     def test_version_checked(self):
-        with pytest.raises(ScenarioError):
-            schema.scenario_from_dict({"version": 99})
+        # JSON true and 1.0 equal 1 in Python, but neither is the integer 1.
+        for version in (99, True, 1.0):
+            with pytest.raises(ScenarioError):
+                schema.scenario_from_dict({"version": version})
         with pytest.raises(ScenarioError):
             schema.scenario_from_dict({})
 
@@ -61,6 +63,16 @@ class TestSchema:
         flagged = dict(plain, separating=True)
         assert (schema.descriptor_from_dict(flagged)
                 == schema.descriptor_from_dict(plain))
+
+
+# One perturbed declaration per expectation kind that resolve or sweep
+# checks: (kind, builtin, field, wrong value, argv).
+MISMATCHES = [
+    ("genus", "cg_pretzel_m5", "base", 5, ["resolve", "--n", "6"]),
+    ("connected", "cg_pretzel_m5", "value", False, ["resolve", "--n", "6"]),
+    ("residue_classes", "solid_torus_reduced", "value", 4,
+     ["sweep", "--from", "1", "--to", "10"]),
+]
 
 
 class TestExitCodes:
@@ -116,16 +128,40 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
-    def test_expectation_mismatch_is_two(self, tmp_path):
+    @pytest.mark.parametrize(
+        "kind,builtin,field,bad,argv", MISMATCHES,
+        ids=[kind for kind, *_ in MISMATCHES])
+    def test_expectation_mismatch_is_two(self, tmp_path, kind, builtin,
+                                         field, bad, argv):
         raw = json.loads((schema.resources.files("hakensum") / "data"
-                          / "cg_pretzel_m5.json").read_text())
-        raw["expectations"]["genus"]["base"] = 5
+                          / (builtin + ".json")).read_text())
+        raw["expectations"][kind][field] = bad
         path = write_scenario(tmp_path, raw)
-        code, out = run_cli("resolve", "--scenario", path, "--n", "6",
+        code, out = run_cli(argv[0], "--scenario", path, *argv[1:],
                             "--format", "json")
         assert code == EXIT_MISMATCH
         report = json.loads(out)
         assert not report["passed"]
+        assert [c["passed"] for c in report["checks"]
+                if c["name"] == kind] == [False]
+
+    def test_every_expectation_kind_can_fail(self):
+        # copy_parity qualifies the other kinds and is no check itself.
+        assert ({kind for kind, *_ in MISMATCHES}
+                == set(schema.KNOWN_EXPECTATIONS) - {"copy_parity"})
+
+    @pytest.mark.parametrize("kind", ["euler_constant", "surprise"])
+    def test_unknown_expectation_rejected(self, tmp_path, capsys, kind):
+        raw = json.loads((schema.resources.files("hakensum") / "data"
+                          / "solid_torus_reduced.json").read_text())
+        raw["expectations"][kind] = {"value": -4, "source": "derived"}
+        path = write_scenario(tmp_path, raw)
+        code, out = run_cli("sweep", "--scenario", path,
+                            "--from", "1", "--to", "10")
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: unknown expectation {!r}\n".format(kind)
 
     def test_strict_stops_at_first_mismatch(self, tmp_path):
         raw = json.loads((schema.resources.files("hakensum") / "data"
@@ -228,8 +264,7 @@ TYPE_FAULTS = [
      ("patch_complex", "f_descriptor", "orientable"), "no", RESOLVE),
     ("doubled_handlebody",
      ("patch_complex", "g_descriptor", "orientable"), None, RESOLVE),
-    ("solid_torus_reduced", ("expectations", "euler_constant", "value"),
-     "x", SWEEP),
+    ("solid_torus_reduced", ("name",), 5, SWEEP),
     ("solid_torus_reduced", ("expectations", "residue_classes", "value"),
      3.0, SWEEP),
     ("doubled_handlebody", ("expectations", "genus", "per_copy"), "2",
@@ -240,6 +275,8 @@ TYPE_FAULTS = [
      RESOLVE),
     ("doubled_handlebody", ("expectations", "copy_parity", "value"),
      ["even"], RESOLVE),
+    ("doubled_handlebody", ("expectations", "copy_parity", "value"),
+     "evn", ["resolve", "--n", "5"]),
     ("doubled_handlebody", ("gluing_graph", "pieces", 0, "kind"), "blah",
      ["trace"]),
     ("doubled_handlebody", ("gluing_graph", "pieces", 1, "base_euler"),
