@@ -15,6 +15,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (DisconnectionError, DomainError, GuardViolationError,
                      InsufficientCopiesError, MalformedComplexError,
@@ -22,38 +23,41 @@ from .errors import (DisconnectionError, DomainError, GuardViolationError,
 from .surfaces import (Patch, PatchComplex, SeamCurve, UnionFind,
                        level_components, merged_orientation, resolve)
 
-PARITIES = ("+", "-")
 
+class Curve(NamedTuple):
+    """One intersection curve of the splitting surface with the summand.
 
-@dataclass(frozen=True)
-class Curve:
-    """One intersection curve of the splitting surface with the summand."""
+    A plain record, like ``Patch``: the inventory holding it checks its
+    parity.
+    """
 
     id: str
     essential_on_k: bool = True
     parity: str | None = None
-
-    def __post_init__(self):
-        if self.parity is not None and self.parity not in PARITIES:
-            raise DomainError("parity must be '+', '-' or None")
 
 
 @dataclass(frozen=True)
 class IntersectionInventory:
     """The list of intersection curves together with the copy count.
 
-    Parities are present on every curve (torus mode) or on none.
+    Every parity is '+', '-' or None, and parities are present on every
+    curve (torus mode) or on none.
     """
 
     curves: tuple
     copies: int
 
     def __post_init__(self):
-        ids = [c.id for c in self.curves]
-        if len(set(ids)) != len(ids):
+        # Counting compares by equality and never hashes, so a parity of
+        # any type is judged, not raised on.
+        parities = [c.parity for c in self.curves]
+        signed = parities.count("+") + parities.count("-")
+        if (signed != len(parities)
+                and signed + parities.count(None) != len(parities)):
+            raise DomainError("parity must be '+', '-' or None")
+        if len({c.id for c in self.curves}) != len(parities):
             raise DomainError("duplicate curve id")
-        with_parity = [c for c in self.curves if c.parity is not None]
-        if with_parity and len(with_parity) != len(self.curves):
+        if 0 < signed < len(parities):
             raise DomainError(
                 "parity must be present on every curve or on none")
         if self.copies < 0:
@@ -285,11 +289,12 @@ def reduce_parities(inv):
     """
     if not inv.torus_mode:
         raise DomainError("parity reduction applies only in torus mode")
-    if any(not c.essential_on_k for c in inv.curves):
+    if inv.inessential():
         raise DomainError("remove inessential curves before reducing "
                           "parities")
-    positive = sum(1 for c in inv.curves if c.parity == "+")
-    negative = len(inv.curves) - positive
+    parities = [c.parity for c in inv.curves]
+    positive = parities.count("+")
+    negative = len(parities) - positive
     if positive == negative:
         raise DisconnectionError(
             "equal numbers of positive and negative curves: the sum "
@@ -306,14 +311,16 @@ def reduce_parities(inv):
                 cancelled, inv.copies))
 
     # One stack pass: an incoming curve of the opposite parity to the top
-    # of the stack cancels against it, and neither survives.
-    curves = []
-    for curve in inv.curves:
-        if curves and curves[-1].parity != curve.parity:
+    # of the stack cancels against it, and neither survives.  So the
+    # stack only ever holds curves of one parity, ``top``.
+    curves, top = [], None
+    for curve, parity in zip(inv.curves, parities):
+        if parity != top and curves:
             curves.pop()
         else:
             curves.append(curve)
-    if len(curves) != net or any(c.parity != "+" for c in curves):
+            top = parity
+    if len(curves) != net or [c.parity for c in curves].count("+") != net:
         raise AssertionError("parity cancellation lost count")
     return ParityOutcome(
         inventory=IntersectionInventory(

@@ -197,13 +197,23 @@ def sides_from_dict(d):
 
 
 def inventory_from_dict(d):
+    # Inventories run to thousands of curves, so each field is read once
+    # and the checking helpers run only on a value of another type, to
+    # raise their error or to accept a subclass.
+    entries = _require_typed(d, "curves", "inventory", (list,), "a list")
+    if not set(map(type, entries)) <= {dict}:
+        _objects(d, "curves", "inventory")
+    curves = []
+    for c in entries:
+        cid = c.get("id")
+        if type(cid) is not str:
+            cid = _require_str(c, "id", "inventory")
+        essential = c.get("essential_on_k", True)
+        if type(essential) is not bool:
+            essential = _flag(c, "essential_on_k", "inventory")
+        curves.append(Curve(cid, essential, c.get("parity")))
     return IntersectionInventory(
-        curves=tuple(Curve(id=_require_str(c, "id", "inventory"),
-                           essential_on_k=_flag(c, "essential_on_k",
-                                                "inventory"),
-                           parity=c.get("parity"))
-                     for c in _objects(d, "curves", "inventory")),
-        copies=_require_int(d, "copies", "inventory"))
+        curves=tuple(curves), copies=_require_int(d, "copies", "inventory"))
 
 
 def expectations_from_dict(d):
@@ -313,13 +323,15 @@ def scenario_from_dict(d):
 
 
 def load_scenario(path):
-    """Parse a scenario file from disk."""
+    """Parse a scenario file from disk.  JSON text is UTF-8 (RFC 8259)."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise ScenarioError("cannot read {}: {}".format(path, exc))
-    except json.JSONDecodeError as exc:
+    # ValueError covers bad JSON, bad UTF-8 and an integer literal past
+    # the interpreter's digit limit; RecursionError, nesting too deep.
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError("corrupted scenario file {}: {}".format(
             path, exc))
     if not isinstance(raw, dict):
@@ -340,5 +352,5 @@ def load_builtin(name):
     if name not in BUILTIN_SCENARIOS:
         raise ScenarioError("unknown builtin scenario {!r}".format(name))
     text = (resources.files("hakensum") / "data"
-            / BUILTIN_SCENARIOS[name]).read_text()
+            / BUILTIN_SCENARIOS[name]).read_text(encoding="utf-8")
     return scenario_from_dict(json.loads(text))

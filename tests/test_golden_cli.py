@@ -20,7 +20,7 @@ import pytest
 from hakensum.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-CASES = json.loads((GOLDEN / "cases.json").read_text())
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 def _argv(case):
@@ -40,12 +40,14 @@ def _run(case):
 def test_report_matches_capture(case):
     code, out = _run(case)
     assert code == case["exit"]
-    assert out == (GOLDEN / (case["name"] + ".out")).read_text()
+    capture = GOLDEN / (case["name"] + ".out")
+    assert out == capture.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--update"]:
     for case in CASES:
         code, out = _run(case)
         case["exit"] = code
-        (GOLDEN / (case["name"] + ".out")).write_text(out)
-    (GOLDEN / "cases.json").write_text(json.dumps(CASES, indent=2) + "\n")
+        (GOLDEN / (case["name"] + ".out")).write_text(out, encoding="utf-8")
+    (GOLDEN / "cases.json").write_text(json.dumps(CASES, indent=2) + "\n",
+                                     encoding="utf-8")

@@ -5,6 +5,7 @@ test passes, strict xfail turns that into a failure, and the marker must
 be removed with the fix.
 """
 
+import json
 import resource
 import subprocess
 import sys
@@ -57,8 +58,32 @@ def test_huge_copy_count_keeps_the_exit_contract():
          str(ROOT / "tests" / "golden" / "seeded_6538.json"),
          "--n", "1000000000000"],
         cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")},
-        preexec_fn=_cap_address_space, capture_output=True, text=True,
+        preexec_fn=_cap_address_space, capture_output=True, encoding="utf-8",
         timeout=120)
+    assert run.returncode in (0, 2, 3)
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.xfail(hasattr(sys, "get_int_max_str_digits"), strict=True,
+                   reason="a report value past the interpreter's "
+                   "4,300-digit limit cannot be printed")
+def test_huge_report_value_keeps_the_exit_contract(tmp_path):
+    # The summand's euler is -2000, so at n = 10**4299 total_euler has
+    # more than 4,300 digits, though --n itself parses.
+    raw = json.loads((ROOT / "src" / "hakensum" / "data"
+                      / "cg_pretzel_m5.json").read_text(encoding="utf-8"))
+    pc = raw["patch_complex"]
+    pc["g_descriptor"]["euler"] = -2000
+    for patch in pc["g_patches"]:
+        if patch["id"] == "summand_main":
+            patch["euler"] = -2000
+    path = tmp_path / "huge-euler.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "hakensum.cli", "resolve", "--scenario",
+         str(path), "--n", str(10 ** 4299)],
+        cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, encoding="utf-8", timeout=120)
     assert run.returncode in (0, 2, 3)
     assert "Traceback" not in run.stderr
 

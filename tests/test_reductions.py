@@ -124,6 +124,31 @@ class TestRemoveTrivial:
             assert a.euler_multiset() == b.euler_multiset()
 
 
+class TestInventoryChecks:
+    """The inventory checks its curves; a Curve alone checks nothing."""
+
+    @pytest.mark.parametrize("parity", ["x", "", ["+"], {"a": 1}, 1, True])
+    def test_any_other_parity_is_a_domain_error(self, parity):
+        curves = (Curve("a", parity="+"), Curve("b", parity=parity))
+        with pytest.raises(DomainError,
+                           match=r"^parity must be '\+', '-' or None$"):
+            IntersectionInventory(curves=curves, copies=1)
+
+    def test_parity_on_every_curve_or_on_none(self):
+        with pytest.raises(DomainError, match="on every curve or on none"):
+            inventory([True] * 3, 4, parities=["+", None, "-"])
+
+    def test_duplicate_id_is_a_domain_error(self):
+        curves = (Curve("a"), Curve("b"), Curve("a"))
+        with pytest.raises(DomainError, match="duplicate curve id"):
+            IntersectionInventory(curves=curves, copies=1)
+
+    def test_bad_parity_is_reported_before_a_duplicate_id(self):
+        curves = (Curve("a", parity="x"), Curve("a", parity="+"))
+        with pytest.raises(DomainError, match="or None"):
+            IntersectionInventory(curves=curves, copies=1)
+
+
 class TestReduceParities:
     def test_quoted_example(self):
         inv = inventory([True] * 4, 10, parities="++-+")

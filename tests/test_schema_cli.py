@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hakensum import DualCurveCertificate, ScenarioError
+from hakensum import (Curve, DualCurveCertificate, IntersectionInventory,
+                      ScenarioError)
 from hakensum import cli, schema
 from hakensum.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main
 
@@ -26,9 +28,15 @@ def run_cli(*argv):
     return code, buf.getvalue()
 
 
+def builtin_data(name):
+    """The raw JSON of a builtin scenario, by its file stem."""
+    return json.loads((schema.resources.files("hakensum") / "data"
+                       / (name + ".json")).read_text(encoding="utf-8"))
+
+
 def write_scenario(tmp_path, payload, name="scenario.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
 
 
@@ -88,9 +96,28 @@ class TestExitCodes:
 
     def test_corrupted_file_is_input_error(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         code, _ = run_cli("resolve", "--scenario", str(path), "--n", "2")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("name,content", [
+        ("long-integer", b'{"version": 1, "name": ' + b"9" * 5000 + b"}"),
+        ("not-utf-8", b'{"version": 1, "name": "caf\xe9"}'),
+        ("deep-nesting", b"[" * 100000 + b"]" * 100000),
+    ], ids=["long-integer", "not-utf-8", "deep-nesting"])
+    def test_undecodable_file_is_input_error(self, tmp_path, capsys, name,
+                                             content):
+        if (name == "long-integer"
+                and not hasattr(sys, "get_int_max_str_digits")):
+            pytest.skip("this Python has no limit on integer digits")
+        path = tmp_path / (name + ".json")
+        path.write_bytes(content)
+        code, out = run_cli("resolve", "--scenario", str(path), "--n", "2")
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: corrupted scenario file {}: ".format(
+            path))
 
     def test_missing_section_is_input_error(self, tmp_path):
         path = write_scenario(tmp_path, {"version": 1, "name": "empty"})
@@ -133,8 +160,7 @@ class TestExitCodes:
         ids=[kind for kind, *_ in MISMATCHES])
     def test_expectation_mismatch_is_two(self, tmp_path, kind, builtin,
                                          field, bad, argv):
-        raw = json.loads((schema.resources.files("hakensum") / "data"
-                          / (builtin + ".json")).read_text())
+        raw = builtin_data(builtin)
         raw["expectations"][kind][field] = bad
         path = write_scenario(tmp_path, raw)
         code, out = run_cli(argv[0], "--scenario", path, *argv[1:],
@@ -152,8 +178,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind", ["euler_constant", "surprise"])
     def test_unknown_expectation_rejected(self, tmp_path, capsys, kind):
-        raw = json.loads((schema.resources.files("hakensum") / "data"
-                          / "solid_torus_reduced.json").read_text())
+        raw = builtin_data("solid_torus_reduced")
         raw["expectations"][kind] = {"value": -4, "source": "derived"}
         path = write_scenario(tmp_path, raw)
         code, out = run_cli("sweep", "--scenario", path,
@@ -164,8 +189,7 @@ class TestExitCodes:
         assert err == "error: unknown expectation {!r}\n".format(kind)
 
     def test_strict_stops_at_first_mismatch(self, tmp_path):
-        raw = json.loads((schema.resources.files("hakensum") / "data"
-                          / "cg_pretzel_m5.json").read_text())
+        raw = builtin_data("cg_pretzel_m5")
         raw["expectations"]["connected"]["value"] = False
         path = write_scenario(tmp_path, raw)
         code, _ = run_cli("resolve", "--scenario", path, "--n", "6",
@@ -212,8 +236,7 @@ class TestNumericFields:
         ids=[".".join(map(str, path)) for _, path, _ in NUMERIC_FIELDS])
     def test_non_integer_is_input_error(self, tmp_path, capsys, builtin,
                                         path, argv, bad):
-        raw = json.loads((schema.resources.files("hakensum") / "data"
-                          / (builtin + ".json")).read_text())
+        raw = builtin_data(builtin)
         target = raw
         for key in path[:-1]:
             target = target[key]
@@ -260,6 +283,8 @@ TYPE_FAULTS = [
      ["reduce"]),
     ("trivial_removal_demo",
      ("inventory", "curves", 1, "essential_on_k"), "false", ["reduce"]),
+    *[("solid_torus_reduced", ("inventory", "curves", 1, "parity"), bad,
+       ["reduce"]) for bad in ("x", ["+"], {"a": 1}, 1, None)],
     ("doubled_handlebody",
      ("patch_complex", "f_descriptor", "orientable"), "no", RESOLVE),
     ("doubled_handlebody",
@@ -291,8 +316,7 @@ class TestTypeFaults:
              for _, path, bad, _ in TYPE_FAULTS])
     def test_wrong_type_is_input_error(self, tmp_path, capsys, builtin,
                                        path, bad, argv):
-        raw = json.loads((schema.resources.files("hakensum") / "data"
-                          / (builtin + ".json")).read_text())
+        raw = builtin_data(builtin)
         target = raw
         for key in path[:-1]:
             target = target[key]
@@ -305,6 +329,79 @@ class TestTypeFaults:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+# One fault per curve field: (fault, inventory, the message it raises).
+CURVE_FAULTS = [
+    ("id missing", {"copies": 2, "curves": [{"parity": "+"}]},
+     "inventory: missing field 'id'"),
+    ("id null", {"copies": 2, "curves": [{"id": None}]},
+     "inventory: field 'id' must be a string, got None"),
+    ("id 5", {"copies": 2, "curves": [{"id": "a"}, {"id": 5}]},
+     "inventory: field 'id' must be a string, got 5"),
+    ("essential_on_k null",
+     {"copies": 2, "curves": [{"id": "a", "essential_on_k": None}]},
+     "inventory: field 'essential_on_k' must be a boolean, got None"),
+    ("essential_on_k 'false'",
+     {"copies": 2, "curves": [{"id": "a", "essential_on_k": "false"}]},
+     "inventory: field 'essential_on_k' must be a boolean, got 'false'"),
+    ("essential_on_k 0",
+     {"copies": 2, "curves": [{"id": "a", "essential_on_k": 0}]},
+     "inventory: field 'essential_on_k' must be a boolean, got 0"),
+    ("entry not an object", {"copies": 2, "curves": [{"id": "a"}, "b"]},
+     "inventory: every entry of 'curves' must be an object, got 'b'"),
+    ("copies missing", {"curves": [{"id": "a"}]},
+     "inventory: missing field 'copies'"),
+    ("copies 2.5", {"copies": 2.5, "curves": [{"id": "a"}]},
+     "inventory: field 'copies' must be an integer, got 2.5"),
+]
+
+
+class _Label(str):
+    """A str subclass, which a string field accepts as it is."""
+
+
+def _random_inventory(rng):
+    """(the inventory's JSON form, the Curves it describes, its copies)."""
+    k = rng.randint(0, 12)
+    signs = rng.choice([None, "+-"])
+    entries, curves = [], []
+    for i in range(k):
+        cid = _Label("c{}".format(i)) if i == 0 else "c{}".format(i)
+        entry = {"id": cid}
+        essential = rng.random() < 0.8
+        if not essential or rng.random() < 0.5:
+            entry["essential_on_k"] = essential
+        parity = rng.choice(signs) if signs else None
+        if parity is not None:
+            entry["parity"] = parity
+        entries.append(entry)
+        curves.append(Curve(id=cid, essential_on_k=essential, parity=parity))
+    copies = rng.randint(0, 9)
+    return {"copies": copies, "curves": entries}, tuple(curves), copies
+
+
+class TestInventoryParser:
+    @pytest.mark.parametrize("inventory,message",
+                             [case[1:] for case in CURVE_FAULTS],
+                             ids=[case[0] for case in CURVE_FAULTS])
+    def test_curve_fault_message(self, inventory, message):
+        with pytest.raises(ScenarioError) as info:
+            schema.scenario_from_dict({"version": 1,
+                                       "inventory": inventory})
+        assert str(info.value) == message
+
+    def test_parses_to_the_inventory_it_describes(self, seed):
+        rng = random.Random(16000 + seed)
+        for _ in range(300):
+            raw, curves, copies = _random_inventory(rng)
+            parsed = schema.scenario_from_dict(
+                {"version": 1, "inventory": raw}).inventory
+            assert parsed == IntersectionInventory(curves=curves,
+                                                   copies=copies)
+            assert all(type(c) is Curve for c in parsed.curves)
+            assert ([type(c.id) for c in parsed.curves]
+                    == [type(c.id) for c in curves])
 
 
 class TestReports:
@@ -605,7 +702,7 @@ class TestSharedParser:
                     [sys.executable, "-m", "hakensum.cli", *argv],
                     cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src"),
                                    "COLUMNS": "80"},
-                    capture_output=True, text=True, timeout=60)
+                    capture_output=True, encoding="utf-8", timeout=60)
                 fresh[key] = (run.returncode, run.stdout, run.stderr)
         assert len(fresh) == 6
         assert [code for code, _, _ in in_process] == [
