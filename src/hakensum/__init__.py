@@ -22,6 +22,6 @@ from .shifts import (BetaArc, DualCurveCertificate, LiftWalk, ShiftProfile,
 from .surfaces import (Patch, PatchComplex, ResolvedComponent,
                        ResolvedSurface, SeamCurve, SurfaceDescriptor,
                        conjectured_period, euler_of_sum, genus_from_euler,
-                       genus_of, resolve, resolve_range)
+                       resolve, resolve_range)
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from dataclasses import replace
 from . import schema
 from .errors import HakenSumError
 from .reductions import reduce_parities, remove_trivial, torus_periodicity
-from .scenarios import Report
+from .scenarios import Report, check_resolved
 from .shifts import compute_thresholds, essential_certificate
 from .surfaces import conjectured_period, resolve, resolve_range
 from .disk import trace
@@ -92,30 +92,12 @@ def _component_dicts(resolved):
              "pieces": c.piece_count} for c in resolved.components]
 
 
-def _apply_resolve_expectations(report, scenario, resolved, copies):
-    exp = scenario.expectations
-    if "copy_parity" in exp and copies % 2 != 0:
-        report.values["expectations_skipped"] = (
-            "declared only for even copy counts")
-        return
-    if "connected" in exp:
-        report.check("connected", exp["connected"]["value"],
-                     resolved.component_count == 1,
-                     exp["connected"]["source"])
-    if "genus" in exp:
-        entry = exp["genus"]
-        expected = entry["base"] + entry["per_copy"] * copies
-        actual = (resolved.components[0].genus
-                  if resolved.component_count == 1 else None)
-        report.check("genus", expected, actual, entry["source"])
-
-
 def cmd_resolve(scenario, args, report):
     resolved = resolve(scenario.require("patch_complex"), args.n)
     report.values.update(copies=args.n,
                          components=_component_dicts(resolved),
                          total_euler=resolved.total_euler)
-    _apply_resolve_expectations(report, scenario, resolved, args.n)
+    check_resolved(report, scenario, resolved, args.n)
 
 
 def cmd_trace(scenario, args, report):
@@ -178,10 +160,7 @@ def cmd_certify(scenario, args, report):
 def cmd_reduce(scenario, args, report):
     inv = scenario.require("inventory")
     report.values["copies_before"] = inv.copies
-    pc = scenario.patch_complex
-    attach = pc is not None and all(
-        c.id in pc.seams_by_id for c in inv.inessential())
-    outcome = remove_trivial(inv, pc if attach else None)
+    outcome = remove_trivial(inv, scenario.patch_complex)
     report.values["inessential_removed"] = outcome.removed
     inv = outcome.inventory
     if outcome.profile_before is not None:
@@ -216,7 +195,7 @@ def cmd_sweep(scenario, args, report):
                 "genus": (resolved.components[0].genus
                           if resolved.component_count == 1 else None),
             })
-            _apply_resolve_expectations(report, scenario, resolved, n)
+            check_resolved(report, scenario, resolved, n)
         report.values.update(progression=rows,
                              conjectured_period=conjectured_period(pc))
 

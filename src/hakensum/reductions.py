@@ -344,16 +344,14 @@ class PeriodicityReport:
 def torus_periodicity(period, copy_range):
     """Partition copy counts by residue: adding ``period`` copies of the
     torus gives an isotopic surface, so a sweep meets at most ``period``
-    isotopy classes.
+    isotopy classes.  ``copy_range`` is a ``range`` of consecutive counts,
+    so every ``period``-th member shares a residue.
     """
     if period <= 0:
         raise UndefinedPeriodError(
             "periodicity needs a positive number of intersection curves")
-    by_residue = {}
-    for n in copy_range:
-        by_residue.setdefault(n % period, []).append(n)
-    classes = tuple(tuple(sorted(v))
-                    for v in sorted(by_residue.values(), key=min))
+    classes = tuple(tuple(copy_range[r::period])
+                    for r in range(min(period, len(copy_range))))
     return PeriodicityReport(period=period, classes=classes)
 
 

@@ -41,10 +41,6 @@ class SurfaceDescriptor:
     def closed(self):
         return self.boundary_components == 0
 
-    @property
-    def genus(self):
-        return genus_of(self)
-
 
 @dataclass(frozen=True)
 class Patch:
@@ -193,6 +189,9 @@ class PatchComplex:
         return sum(p.euler for p in self.g_patches)
 
     def seam(self, sid):
+        if sid not in self.seams_by_id:
+            raise MalformedComplexError(
+                "{!r} names no seam of the patch complex".format(sid))
         return self.seams_by_id[sid]
 
 
@@ -501,15 +500,6 @@ def genus_from_euler(euler):
         raise DomainError(
             "no closed orientable surface has euler {}".format(euler))
     return (2 - euler) // 2
-
-
-def genus_of(d):
-    """Genus of a closed orientable surface descriptor, (2 - euler)/2."""
-    if not d.closed:
-        raise DomainError("genus is defined only for closed surfaces")
-    if not d.orientable:
-        raise DomainError("genus is defined only for orientable surfaces")
-    return genus_from_euler(d.euler)
 
 
 def level_components(pc, seams):

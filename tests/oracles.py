@@ -5,15 +5,57 @@ instantiation and brute-force enumeration, sharing no code with the
 library paths it checks.  The rescanning, listing and union-find
 oracles keep the library's earlier, slower algorithms; they build the
 library's move, proof and surface types so that their results compare
-equal to the library's.
+equal to the library's, but carry their own disjoint sets and their own
+orientation rule, written differently from the library's, so that a
+fault in either cannot hide in both.
 """
 
 from collections import Counter, deque
 
 from hakensum import DomainError, Pack, ScenarioError, Slice
 from hakensum.scenarios import HandlebodyProof, ProofFailure, ProofStep
-from hakensum.surfaces import (ResolvedComponent, ResolvedSurface, UnionFind,
-                               merged_orientation)
+from hakensum.surfaces import ResolvedComponent, ResolvedSurface
+
+
+class _Sets:
+    """Disjoint sets over 0..size-1 kept as explicit member lists: each
+    node holds the number of its set, a union moves the smaller list into
+    the larger, and every set is named by the root of the first argument
+    of its latest union (so a name survives the unions it starts)."""
+
+    def __init__(self, size):
+        self.label = list(range(size))
+        self.members = [[x] for x in range(size)]
+        self.name = list(range(size))
+
+    def find(self, x):
+        return self.name[self.label[x]]
+
+    def union(self, x, y):
+        keep, gone = self.label[x], self.label[y]
+        if keep == gone:
+            return
+        name = self.name[keep]
+        if len(self.members[keep]) < len(self.members[gone]):
+            keep, gone = gone, keep
+        for z in self.members[gone]:
+            self.label[z] = keep
+        self.members[keep] += self.members[gone]
+        self.members[gone] = []
+        self.name[keep] = name
+
+
+def _oriented(flags):
+    """The ``oriented`` flag of merged patches: one unoriented patch makes
+    the piece unoriented; it is oriented only if every patch is known to
+    be, and unknown otherwise."""
+    merged = True
+    for flag in flags:
+        if flag is False:
+            return False
+        if flag is None:
+            merged = None
+    return merged
 
 
 def _components(nodes, edges):
@@ -103,7 +145,7 @@ def resolve_by_union_find(pc, copies):
     f_node = {p.id: i for i, p in enumerate(pc.f_patches)}
     g_base = {p.id: nf + j * n for j, p in enumerate(pc.g_patches)}
     size = nf + len(pc.g_patches) * n
-    uf = UnionFind(size)
+    uf = _Sets(size)
     union, find = uf.union, uf.find
     for seam in pc.seams:
         (fa, ga), (fb, gb) = seam.chosen_pairs()
@@ -145,7 +187,7 @@ def resolve_by_union_find(pc, copies):
 
     components = []
     for euler, pieces, flags in groups.values():
-        orientable = merged_orientation(flags)
+        orientable = _oriented(flags)
         # Closed surfaces only: every patch boundary circle lies on a seam
         # and every seam quadrant is re-glued, so components are closed.
         genus = None
@@ -351,7 +393,7 @@ def handlebody_by_rescan(graph):
         raise ScenarioError("empty gluing graph")
 
     index = {p.id: i for i, p in enumerate(graph.pieces)}
-    uf = UnionFind(len(index))
+    uf = _Sets(len(index))
     # Keyed by cluster root: a merge keeps the root of its first argument.
     genus_of_cluster = [1 - p.euler for p in graph.pieces]
 

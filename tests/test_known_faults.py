@@ -21,8 +21,9 @@ from hakensum import (AnnulusGluing, BetaArc, GluedPiece, GluingGraph,
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.xfail(strict=True, reason="the validator checks only each "
-                   "lift's endpoints, so a lift may leave [1, n] between them")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the validator checks only each lift's "
+                   "endpoints, so a lift may leave [1, n] between them")
 def test_certified_lifts_stay_in_the_band():
     # Shifts 1 and 5, margin 5: level 14 of 20 is in the certified band,
     # yet the prime lift from 18 walks 18, 19, 20, 21, 20, 19.
@@ -50,8 +51,9 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-@pytest.mark.xfail(strict=True, reason="resolve expands one component per "
-                   "copy, so a huge n on a growing complex runs out of memory")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="resolve expands one component per copy, so a "
+                   "huge n on a growing complex runs out of memory")
 def test_huge_copy_count_keeps_the_exit_contract():
     run = subprocess.run(
         [sys.executable, "-m", "hakensum.cli", "resolve", "--scenario",
@@ -65,6 +67,7 @@ def test_huge_copy_count_keeps_the_exit_contract():
 
 
 @pytest.mark.xfail(hasattr(sys, "get_int_max_str_digits"), strict=True,
+                   raises=AssertionError,
                    reason="a report value past the interpreter's "
                    "4,300-digit limit cannot be printed")
 def test_huge_report_value_keeps_the_exit_contract(tmp_path):
@@ -88,8 +91,9 @@ def test_huge_report_value_keeps_the_exit_contract(tmp_path):
     assert "Traceback" not in run.stderr
 
 
-@pytest.mark.xfail(strict=True, reason="an annulus primitive in a genus-0 "
-                   "handlebody is accepted, and the genus drops below 0")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="an annulus primitive in a genus-0 handlebody "
+                   "is accepted, and the genus drops below 0")
 def test_no_handlebody_proof_of_negative_genus():
     graph = GluingGraph(
         pieces=(GluedPiece(id="a", kind="handlebody", genus=0),

@@ -99,6 +99,17 @@ class TestRemoveTrivial:
         with pytest.raises(MalformedComplexError):
             absorb_trivial_seam(loaded.patch_complex, "waist")
 
+    def test_unknown_seam_id_is_malformed(self):
+        loaded = load_builtin("trivial-removal-demo")
+        with pytest.raises(MalformedComplexError, match="'nope'"):
+            absorb_trivial_seam(loaded.patch_complex, "nope")
+        inv = IntersectionInventory(
+            curves=(Curve(id="waist"), Curve(id="nope",
+                                             essential_on_k=False)),
+            copies=6)
+        with pytest.raises(MalformedComplexError, match="'nope'"):
+            remove_trivial(inv, loaded.patch_complex)
+
     def test_band_must_hold_the_absorbed_copy(self):
         # Two interleaving seams chain three summand patches across
         # three levels, so the absorbed copy spans three levels and two

@@ -1,10 +1,14 @@
+import io
+import json
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
 from hakensum import (AnnulusGluing, GluedPiece, GluingGraph, ScenarioError,
                       casson_gordon_scenario, doubled_handlebody_scenario,
                       gluing_graph_from_dict, handlebody_certificate)
+from hakensum.cli import main
 from hakensum.schema import load_builtin
 
 from generators import random_gluing_graph, random_provable_graph
@@ -76,6 +80,39 @@ class TestDoubledHandlebody:
             _, report = doubled_handlebody_scenario(copies)
             assert report.passed
             assert genus_check(report).actual == 2 * copies + 3
+
+
+def cli_checks(builtin, copies):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["resolve", "--scenario", builtin, "--n", str(copies),
+                     "--format", "json"])
+    assert code == 0
+    return [(c["name"], c["expected"], c["actual"], c["source"])
+            for c in json.loads(buf.getvalue())["checks"]]
+
+
+def family_checks(report):
+    return [(c.name, c.expected, c.actual, c.source) for c in report.checks]
+
+
+class TestFamiliesMatchResolve:
+    """Each family reports exactly the checks ``hakensum resolve`` makes
+    on its builtin file at the same copy count."""
+
+    def test_pretzel_family(self):
+        for twists in range(0, 11):
+            _, report = casson_gordon_scenario(5, twists)
+            assert report.passed
+            assert family_checks(report) == cli_checks("cg-pretzel-m5",
+                                                       2 * twists)
+
+    def test_doubled_handlebody_family(self):
+        for copies in range(0, 21, 2):
+            _, report = doubled_handlebody_scenario(copies)
+            assert report.passed
+            assert family_checks(report) == cli_checks("doubled-handlebody",
+                                                       copies)
 
 
 def paper_style_graph(copies):

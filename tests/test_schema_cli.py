@@ -518,6 +518,20 @@ class TestReports:
         assert report["inessential_removed"] == 1
         assert report["copies_after"] == 5
 
+    def test_reduce_curve_naming_no_seam_is_input_error(self, tmp_path,
+                                                          capsys):
+        raw = builtin_data("trivial_removal_demo")
+        for curve in raw["inventory"]["curves"]:
+            if curve["id"] == "puncture":
+                curve["id"] = "punctur"
+        path = write_scenario(tmp_path, raw)
+        code, out = run_cli("reduce", "--scenario", path)
+        assert code == EXIT_INPUT
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'punctur'" in err
+        assert "Traceback" not in err
+
     def test_sweep_torus_classes(self):
         code, out = run_cli("sweep", "--scenario", "solid-torus-reduced",
                             "--from", "1", "--to", "10",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hakensum import (DomainError, MalformedComplexError, Patch,
                       PatchComplex, SeamCurve, SurfaceDescriptor,
                       absorb_trivial_seam, conjectured_period,
-                      euler_of_sum, genus_from_euler, genus_of, resolve)
+                      euler_of_sum, genus_from_euler, resolve)
 from hakensum.schema import load_builtin
 from hakensum.surfaces import UnionFind, resolve_range
 
@@ -18,25 +18,19 @@ from oracles import (brute_force_component_records, brute_force_components,
 
 class TestDescriptor:
     def test_sphere_genus(self):
-        assert genus_of(SurfaceDescriptor(euler=2)) == 0
+        assert genus_from_euler(2) == 0
 
     def test_genus_four(self):
-        assert genus_of(SurfaceDescriptor(euler=-6)) == 4
+        assert genus_from_euler(-6) == 4
 
     def test_genus_ten(self):
-        assert genus_of(SurfaceDescriptor(euler=-18)) == 10
+        assert genus_from_euler(-18) == 10
 
     def test_closed_orientable_needs_even_euler(self):
         with pytest.raises(DomainError):
             SurfaceDescriptor(euler=1)
         with pytest.raises(DomainError):
             SurfaceDescriptor(euler=4)
-
-    def test_genus_rejects_bounded_or_nonorientable(self):
-        with pytest.raises(DomainError):
-            genus_of(SurfaceDescriptor(euler=-1, boundary_components=1))
-        with pytest.raises(DomainError):
-            genus_of(SurfaceDescriptor(euler=-2, orientable=False))
 
     def test_odd_euler_fine_with_boundary(self):
         d = SurfaceDescriptor(euler=-3, boundary_components=1)
