@@ -23,6 +23,7 @@ import functools
 import json
 import sys
 from dataclasses import replace
+from itertools import chain
 
 from . import schema
 from .errors import HakenSumError
@@ -56,28 +57,36 @@ def _load(path):
 
 def _finish(report, fmt, strict):
     """Write the report to stdout; the exit code says whether it passed.
-    Under ``strict`` a failed check replaces the report with its name."""
+    Under ``strict`` a failed check replaces the report with its name.
+    The report is rendered whole before any of it is written, so one that
+    cannot be printed (an integer past the interpreter's digit limit)
+    writes nothing and exits 3."""
     failed = [c.name for c in report.checks if not c.passed]
     if strict and failed:
         sys.stderr.write("expectation failed: {}\n".format(failed[0]))
         return EXIT_MISMATCH
-    out = sys.stdout
+    try:
+        text = _render(report, fmt)
+    except ValueError as exc:
+        sys.stderr.write("error: cannot print the report: {}\n".format(exc))
+        return EXIT_INPUT
+    sys.stdout.write(text)
+    return EXIT_MISMATCH if failed else EXIT_OK
+
+
+def _render(report, fmt):
     if fmt == "json":
         body = dict(report.values, passed=report.passed,
                     checks=[c.to_dict() for c in report.checks])
-        out.write(json.dumps(body, sort_keys=True, indent=2))
-        out.write("\n")
-    else:
-        out.write("command: {}\n".format(report.values["command"]))
-        for key in sorted(report.values):
-            if key != "command":
-                out.write("{}: {}\n".format(key, _fmt(report.values[key])))
-        for c in report.checks:
-            out.write("check {}: expected {} actual {} [{}] {}\n".format(
-                c.name, _fmt(c.expected), _fmt(c.actual), c.source,
-                "ok" if c.passed else "MISMATCH"))
-        out.write("passed: {}\n".format(report.passed))
-    return EXIT_MISMATCH if failed else EXIT_OK
+        return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    lines = ["command: {}".format(report.values["command"])]
+    lines += ["{}: {}".format(key, _fmt(report.values[key]))
+              for key in sorted(report.values) if key != "command"]
+    lines += ["check {}: expected {} actual {} [{}] {}".format(
+        c.name, _fmt(c.expected), _fmt(c.actual), c.source,
+        "ok" if c.passed else "MISMATCH") for c in report.checks]
+    lines.append("passed: {}".format(report.passed))
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(value):
@@ -87,9 +96,10 @@ def _fmt(value):
 
 
 def _component_dicts(resolved):
-    return [{"euler": c.euler, "closed": c.closed,
-             "orientable": c.orientable, "genus": c.genus,
-             "pieces": c.piece_count} for c in resolved.components]
+    return list(chain.from_iterable(
+        [{"euler": c.euler, "closed": c.closed, "orientable": c.orientable,
+          "genus": c.genus, "pieces": c.piece_count}] * count
+        for c, count in resolved.runs))
 
 
 def cmd_resolve(scenario, args, report):
@@ -192,8 +202,7 @@ def cmd_sweep(scenario, args, report):
                 "copies": n,
                 "components": resolved.component_count,
                 "euler": resolved.total_euler,
-                "genus": (resolved.components[0].genus
-                          if resolved.component_count == 1 else None),
+                "genus": resolved.genus,
             })
             check_resolved(report, scenario, resolved, n)
         report.values.update(progression=rows,

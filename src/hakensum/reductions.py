@@ -232,8 +232,8 @@ def remove_trivial(inv, pc=None):
     When a patch complex is attached, each inessential curve id must name
     a trivial seam of the complex; the seams are absorbed one by one
     (each absorption also needs the band of remaining copies to hold the
-    absorbed copy's level span) and the resolution profile (component
-    count and euler multiset) is checked to survive the substitution.
+    absorbed copy's level span) and the resolution profile
+    (``ResolvedSurface.profile``) is checked to survive the substitution.
     """
     trivial = inv.inessential()
     m = len(trivial)
@@ -254,12 +254,8 @@ def remove_trivial(inv, pc=None):
         for step, curve in enumerate(trivial):
             new_pc = absorb_trivial_seam(new_pc, curve.id,
                                          copies=inv.copies - step)
-        resolved_before = resolve(pc, inv.copies)
-        resolved_after = resolve(new_pc, cleaned.copies)
-        before = (resolved_before.component_count,
-                  resolved_before.euler_multiset())
-        after = (resolved_after.component_count,
-                 resolved_after.euler_multiset())
+        before = resolve(pc, inv.copies).profile
+        after = resolve(new_pc, cleaned.copies).profile
         if before != after:
             raise MalformedComplexError(
                 "absorbing {} trivial seams changed the resolution "
@@ -350,6 +346,8 @@ def torus_periodicity(period, copy_range):
     if period <= 0:
         raise UndefinedPeriodError(
             "periodicity needs a positive number of intersection curves")
+    if copy_range.start < 0:
+        raise DomainError("copies must be nonnegative")
     classes = tuple(tuple(copy_range[r::period])
                     for r in range(min(period, len(copy_range))))
     return PeriodicityReport(period=period, classes=classes)

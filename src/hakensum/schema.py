@@ -137,16 +137,17 @@ def patch_complex_from_dict(d):
                        epsilon=_require(s, "epsilon", ctx),
                        level_shift=_require_int(s, "level_shift", ctx, 1))
              for s in _objects(d, "seams", ctx)]
-    f_desc = d.get("f_descriptor")
-    g_desc = d.get("g_descriptor")
+    # Only an absent or null descriptor is no descriptor.
+    f_desc, g_desc = (None if d.get(key) is None
+                      else descriptor_from_dict(d[key], ctx + "." + key)
+                      for key in ("f_descriptor", "g_descriptor"))
     return PatchComplex(
         f_patches=[_patch_from_dict(p, ctx) for p in
                    _objects(d, "f_patches", ctx)],
         g_patches=[_patch_from_dict(p, ctx) for p in
                    _objects(d, "g_patches", ctx)],
         seams=seams,
-        f_descriptor=descriptor_from_dict(f_desc) if f_desc else None,
-        g_descriptor=descriptor_from_dict(g_desc) if g_desc else None)
+        f_descriptor=f_desc, g_descriptor=g_desc)
 
 
 def disk_pattern_from_dict(d):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, groupby
 from typing import NamedTuple
 
 from .errors import DomainError, MalformedComplexError
@@ -205,27 +206,37 @@ class ResolvedComponent:
     genus: int | None
     piece_count: int
 
-    def sort_key(self):
-        return (self.euler, self.piece_count)
-
 
 @dataclass(frozen=True)
 class ResolvedSurface:
-    """All components of F + nG, sorted deterministically."""
+    """The components of F + nG as runs: one (component, count) pair per
+    maximal run of equal components, in the order ``resolve`` gives."""
 
-    components: tuple
+    runs: tuple
     copies: int
 
     @property
-    def total_euler(self):
-        return sum(c.euler for c in self.components)
+    def components(self):
+        # One list per run, so a count too large to list fails at once.
+        return tuple(chain.from_iterable([c] * k for c, k in self.runs))
 
     @property
     def component_count(self):
-        return len(self.components)
+        return sum(k for _, k in self.runs)
 
-    def euler_multiset(self):
-        return tuple(sorted(c.euler for c in self.components))
+    @property
+    def total_euler(self):
+        return sum(c.euler * k for c, k in self.runs)
+
+    @property
+    def genus(self):
+        """The genus of a connected sum; None for any other."""
+        return self.runs[0][0].genus if self.component_count == 1 else None
+
+    @property
+    def profile(self):
+        """(component count, component eulers): the order is by euler."""
+        return self.component_count, tuple(c.euler for c in self.components)
 
 
 class UnionFind:
@@ -435,16 +446,14 @@ class _Levels:
         groups += [(euler, pieces, first, flags, count)
                    for (euler, pieces, flags, first), count in closed.items()]
         groups.sort(key=lambda g: g[:3])
-        components = []
-        for euler, pieces, _, flags, count in groups:
-            components += [_component(euler, pieces, flags)] * count
-
-        total = sum(g[0] * g[4] for g in groups)
+        runs = groupby(groups, key=lambda g: _component(g[0], g[1], g[3]))
+        surface = ResolvedSurface(
+            tuple((c, sum(g[4] for g in run)) for c, run in runs), copies)
         expected = euler_of_sum(self.euler_f, self.euler_g, copies)
-        if total != expected:
-            raise AssertionError(
-                "euler bookkeeping violated: {} != {}".format(total, expected))
-        return ResolvedSurface(components=tuple(components), copies=copies)
+        if surface.total_euler != expected:
+            raise AssertionError("euler bookkeeping violated: {} != {}".format(
+                surface.total_euler, expected))
+        return surface
 
 
 def resolve(pc, copies):
@@ -463,10 +472,11 @@ def resolve(pc, copies):
       interleaving.
 
     The levels are summarised as windows (``_Levels``): O(log n)
-    compositions of O(|F| + |G| + |seams|) each, plus the size of the
-    component list.  Each component's Euler characteristic is the sum of
-    its member patch eulers (the gluing annuli contribute nothing), so
-    the total always equals ``euler_of_sum(euler_f, euler_g, copies)``.
+    compositions of O(|F| + |G| + |seams|) each.  Equal components in a
+    row form one run, so only the run counts grow with n.  Each
+    component's Euler characteristic is the sum of its member patch
+    eulers (the gluing annuli contribute nothing), so the total always
+    equals ``euler_of_sum(euler_f, euler_g, copies)``.
     Components are ordered by (euler, pieces), ties by their first
     member, where F-patches come first in their order, then G-patch j at
     level L by (j, L).

@@ -11,6 +11,7 @@ fault in either cannot hide in both.
 """
 
 from collections import Counter, deque
+from itertools import groupby
 
 from hakensum import DomainError, Pack, ScenarioError, Slice
 from hakensum.scenarios import HandlebodyProof, ProofFailure, ProofStep
@@ -200,14 +201,17 @@ def resolve_by_union_find(pc, copies):
         components.append(ResolvedComponent(
             euler=euler, closed=True, orientable=orientable, genus=genus,
             piece_count=pieces))
-    components.sort(key=lambda c: c.sort_key())
+    components.sort(key=lambda c: (c.euler, c.piece_count))
 
     total = sum(c.euler for c in components)
     expected = pc.euler_f + copies * pc.euler_g
     if total != expected:
         raise AssertionError(
             "euler bookkeeping violated: {} != {}".format(total, expected))
-    return ResolvedSurface(components=tuple(components), copies=copies)
+    # Equal components in a row make one run.
+    return ResolvedSurface(
+        runs=tuple((c, len(list(run))) for c, run in groupby(components)),
+        copies=copies)
 
 
 def record_order(record):

@@ -2,7 +2,7 @@
 
 Each test states the behaviour the fault breaks.  When a fix lands, its
 test passes, strict xfail turns that into a failure, and the marker must
-be removed with the fix.
+be removed with the fix; the test stays as the fault's regression test.
 """
 
 import json
@@ -52,8 +52,9 @@ def _cap_address_space():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="resolve expands one component per copy, so a "
-                   "huge n on a growing complex runs out of memory")
+                   reason="the resolve printer lists one component per "
+                   "copy, so a huge n on a growing complex runs out of "
+                   "memory")
 def test_huge_copy_count_keeps_the_exit_contract():
     run = subprocess.run(
         [sys.executable, "-m", "hakensum.cli", "resolve", "--scenario",
@@ -66,10 +67,24 @@ def test_huge_copy_count_keeps_the_exit_contract():
     assert "Traceback" not in run.stderr
 
 
-@pytest.mark.xfail(hasattr(sys, "get_int_max_str_digits"), strict=True,
-                   raises=AssertionError,
-                   reason="a report value past the interpreter's "
-                   "4,300-digit limit cannot be printed")
+def test_huge_sweep_on_a_growing_complex_keeps_the_exit_contract():
+    # The sum keeps its runs, so a row costs the same at any n: only a
+    # resolve report lists the components.
+    run = subprocess.run(
+        [sys.executable, "-m", "hakensum.cli", "sweep", "--scenario",
+         str(ROOT / "tests" / "golden" / "seeded_6538.json"),
+         "--from", "999999999998", "--to", "1000000000000",
+         "--format", "json"],
+        cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")},
+        preexec_fn=_cap_address_space, capture_output=True, encoding="utf-8",
+        timeout=120)
+    assert run.returncode == 0
+    assert "Traceback" not in run.stderr
+    rows = json.loads(run.stdout)["progression"]
+    assert [(r["copies"], r["components"]) for r in rows] == [
+        (n, n + 2) for n in range(999999999998, 1000000000001)]
+
+
 def test_huge_report_value_keeps_the_exit_contract(tmp_path):
     # The summand's euler is -2000, so at n = 10**4299 total_euler has
     # more than 4,300 digits, though --n itself parses.
@@ -89,6 +104,10 @@ def test_huge_report_value_keeps_the_exit_contract(tmp_path):
         capture_output=True, encoding="utf-8", timeout=120)
     assert run.returncode in (0, 2, 3)
     assert "Traceback" not in run.stderr
+    if hasattr(sys, "get_int_max_str_digits"):
+        # The report is rendered whole first, so none of it is written.
+        assert run.returncode == 3 and run.stdout == ""
+        assert run.stderr.startswith("error: cannot print the report: ")
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

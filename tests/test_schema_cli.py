@@ -331,6 +331,25 @@ class TestTypeFaults:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", [False, 0, "", [], {}])
+@pytest.mark.parametrize("key", ["f_descriptor", "g_descriptor"])
+def test_a_descriptor_that_is_not_an_object_is_input_error(
+        tmp_path, capsys, key, bad):
+    # Only an absent or null descriptor means "no descriptor"; a falsy
+    # value is parsed, so the Euler cross-check is never skipped silently.
+    raw = builtin_data("doubled_handlebody")
+    raw["patch_complex"][key] = bad
+    code, out = run_cli("resolve", "--scenario", write_scenario(tmp_path, raw),
+                        "--n", "2")
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: patch_complex.{}".format(key))
+    raw["patch_complex"][key] = None
+    code, _ = run_cli("resolve", "--scenario", write_scenario(tmp_path, raw),
+                      "--n", "2")
+    assert code == EXIT_OK
+
+
 # One fault per curve field: (fault, inventory, the message it raises).
 CURVE_FAULTS = [
     ("id missing", {"copies": 2, "curves": [{"parity": "+"}]},
@@ -541,6 +560,14 @@ class TestReports:
         assert report["residue_period"] == 3
         assert report["residue_classes"] == [[1, 4, 7, 10], [2, 5, 8],
                                              [3, 6, 9]]
+
+    def test_torus_sweep_from_a_negative_count_is_input_error(self,
+                                                              capsys):
+        code, out = run_cli("sweep", "--scenario", "solid-torus-reduced",
+                            "--from", "-3", "--to", "2")
+        assert code == EXIT_INPUT and out == ""
+        assert (capsys.readouterr().err
+                == "error: copies must be nonnegative\n")
 
     def test_sweep_progression(self):
         code, out = run_cli("sweep", "--scenario", "cg-pretzel-m5",

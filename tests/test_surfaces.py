@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,12 +9,14 @@ from hakensum import (DomainError, MalformedComplexError, Patch,
                       PatchComplex, SeamCurve, SurfaceDescriptor,
                       absorb_trivial_seam, conjectured_period,
                       euler_of_sum, genus_from_euler, resolve)
-from hakensum.schema import load_builtin
+from hakensum.schema import load_builtin, load_scenario
 from hakensum.surfaces import UnionFind, resolve_range
 
 from generators import random_patch_complex, with_random_orientations
 from oracles import (brute_force_component_records, brute_force_components,
                      record_order, resolve_by_union_find)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestDescriptor:
@@ -107,9 +110,7 @@ class TestResolve:
             pc = random_patch_complex(rng, max_f=3, max_g=3, max_seams=4)
             for n in range(0, 6):
                 resolved = resolve(pc, n)
-                count, multiset = brute_force_components(pc, n)
-                assert resolved.component_count == count
-                assert resolved.euler_multiset() == multiset
+                assert resolved.profile == brute_force_components(pc, n)
 
     def test_records_match_oracle_with_mixed_orientations(self, seed):
         rng = random.Random(seed + 15)
@@ -168,7 +169,11 @@ class TestResolve:
                 pc = with_random_orientations(rng, pc)
             ns = small + large if i < 12 else small
             expected = [resolve_by_union_find(pc, n) for n in ns]
-            assert [resolve(pc, n) for n in ns] == expected
+            resolved = [resolve(pc, n) for n in ns]
+            assert resolved == expected
+            # Runs are maximal, so equal sums have equal runs.
+            assert all(k >= 1 and (i == 0 or s.runs[i - 1][0] != c)
+                       for s in resolved for i, (c, k) in enumerate(s.runs))
             assert (list(resolve_range(pc, 0, len(small)))
                     == expected[:len(small)])
 
@@ -195,6 +200,16 @@ class TestResolve:
         assert list(resolve_range(pc, 0, 18)) == [
             resolve_by_union_find(pc, n) for n in range(18)]
         assert [c.euler for c in expected[-1].components] == [-2, 1, 2]
+
+    def test_runs_stay_few_while_the_count_grows(self):
+        # seeded_6538 gains one component per copy: n + 2 in all.  The
+        # runs hold the counts, so n = 10**12 costs what n = 40 does.
+        pc = load_scenario(GOLDEN / "seeded_6538.json").patch_complex
+        for n in range(41):
+            assert resolve_by_union_find(pc, n).component_count == n + 2
+        huge = resolve(pc, 10 ** 12)
+        assert huge.component_count == 10 ** 12 + 2
+        assert len(huge.runs) == len(resolve(pc, 40).runs)
 
     def test_pretzel_complex_matches_published_genus(self):
         pc = load_builtin("cg-pretzel-m5").patch_complex
