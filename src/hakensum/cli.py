@@ -37,6 +37,11 @@ EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_INPUT = 3
 
+# The most components a resolve report, or rows a sweep, may list.  Each
+# listed item costs one to three kilobytes, so past this a call is refused,
+# with exit 3, before any list is built.
+MAX_LISTED = 10 ** 5
+
 
 class _UsageError(Exception):
     pass
@@ -104,6 +109,10 @@ def _component_dicts(resolved):
 
 def cmd_resolve(scenario, args, report):
     resolved = resolve(scenario.require("patch_complex"), args.n)
+    if resolved.component_count > MAX_LISTED:
+        raise HakenSumError(
+            "the sum has {} components, more than the {} a report may "
+            "list".format(resolved.component_count, MAX_LISTED))
     report.values.update(copies=args.n,
                          components=_component_dicts(resolved),
                          total_euler=resolved.total_euler)
@@ -119,7 +128,7 @@ def cmd_trace(scenario, args, report):
         word=dp.word, copies=dp.copies, arc_count=traced.arc_count,
         gamma_levels=([traced.gamma_levels.start,
                        traced.gamma_levels.stop - 1]
-                      if len(traced.gamma_levels) else []),
+                      if traced.gamma_levels else []),
         gamma_count=traced.gamma_count, excursion=list(traced.excursion),
         annulus_count=traced.annulus_count,
         extra_closed_bound=traced.extra_closed_bound)
@@ -188,6 +197,11 @@ def cmd_reduce(scenario, args, report):
 def cmd_sweep(scenario, args, report):
     if args.n_from > args.n_to:
         raise HakenSumError("--from must not exceed --to")
+    count = args.n_to - args.n_from + 1
+    if count > MAX_LISTED:
+        raise HakenSumError(
+            "the sweep covers {} copy counts, more than the {} a report "
+            "may list".format(count, MAX_LISTED))
     sweep_range = range(args.n_from, args.n_to + 1)
     report.values.update({"from": args.n_from, "to": args.n_to})
     did_anything = False

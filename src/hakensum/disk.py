@@ -86,7 +86,8 @@ class TraceReport:
 
     @property
     def gamma_count(self):
-        return len(self.gamma_levels)
+        # Not len(): that overflows past sys.maxsize levels.
+        return self.gamma_levels.stop - self.gamma_levels.start
 
     @property
     def annulus_count(self):

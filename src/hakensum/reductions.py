@@ -20,8 +20,8 @@ from typing import NamedTuple
 from .errors import (DisconnectionError, DomainError, GuardViolationError,
                      InsufficientCopiesError, MalformedComplexError,
                      UndefinedPeriodError)
-from .surfaces import (Patch, PatchComplex, SeamCurve, UnionFind,
-                       level_components, merged_orientation, resolve)
+from .surfaces import (Patch, PatchComplex, UnionFind, level_components,
+                       merged_orientation, resolve)
 
 
 class Curve(NamedTuple):
@@ -71,15 +71,20 @@ class IntersectionInventory:
         return tuple(c for c in self.curves if not c.essential_on_k)
 
 
-def _analyse_trivial_seam(pc, seam_id):
-    """Locate the innermost disk at a trivial seam and lay out the levels
-    the absorbed copy would occupy.
+def absorb_trivial_seam(pc, seam_id, copies):
+    """Remove one trivial seam, absorbing one copy of G into the F side.
 
-    Returns (disk patch id, neighbour patch id, level span).  Raises when
-    the seam does not carry a unique innermost disk, when the copy graph
-    over the interleaving seams drifts around a cycle, or when the disk's
-    neighbour is not at the extreme level matching the seam's own
-    attachment; such complexes do not model an innermost trivial curve.
+    The named seam must interleave the copies and carry an innermost
+    disk: one of its chosen G-sides is a disk patch (euler 1) meeting no
+    other seam.  The removal isotopy pushes the stack of disks to one
+    extreme level and the remaining material of the lowest (or highest)
+    copy to the other; combinatorially the seam disappears, the disk
+    patch merges into its neighbour, and one copy of every G patch joins
+    the F side, the new F-patches in the order of their first members.
+    Raises when the copy graph over the other interleaving seams drifts
+    around a cycle, when the neighbour is off the extreme level its
+    attachment uses, or when copies < max(2, span + 1), where span + 1 is
+    the number of levels the absorbed copy occupies.
     """
     seam0 = pc.seam(seam_id)
     if seam0.level_shift == 0:
@@ -108,10 +113,10 @@ def _analyse_trivial_seam(pc, seam_id):
     neighbour_at_top = (neighbour == ga0) == (seam0.level_shift == 1)
 
     # Level potential of the absorbed copy over the interleaving seams.
-    interleaving = [s for s in pc.seams
-                    if s.id != seam_id and s.level_shift != 0]
+    others = [s for s in pc.seams if s.id != seam_id]
     span = 0
-    for potential, drift in level_components(pc, interleaving):
+    for potential, drift in level_components(
+            pc, [s for s in others if s.level_shift != 0]):
         if drift:
             raise MalformedComplexError(
                 "seam {}: the copy graph drifts around a cycle, "
@@ -123,62 +128,36 @@ def _analyse_trivial_seam(pc, seam_id):
             raise MalformedComplexError(
                 "seam {}: the disk's neighbour patch is not at the "
                 "extreme level of the absorbed copy".format(seam_id))
-    return disk, neighbour, span
-
-
-def absorb_trivial_seam(pc, seam_id, copies=None):
-    """Remove one trivial seam, absorbing one copy of G into the F side.
-
-    The named seam must carry an innermost disk: one of its G-sides is a
-    disk patch (euler 1) meeting no other seam.  The removal isotopy
-    pushes the stack of disks to one extreme level and the remaining
-    material of the lowest (or highest) copy to the other; combinatorially
-    the seam disappears, the disk patch merges into its neighbour, and one
-    copy of every G patch joins the F side.  See _analyse_trivial_seam for
-    the structural conditions.  When ``copies`` is given, the band is also
-    checked to be wide enough to hold the absorbed copy: absorbing is
-    faithful only when copies >= max(2, span + 1), where span + 1 is the
-    number of levels that copy occupies.
-    """
-    disk, neighbour, span = _analyse_trivial_seam(pc, seam_id)
-    if copies is not None and copies < max(2, span + 1):
+    if copies < max(2, span + 1):
         raise InsufficientCopiesError(
             "absorbing at seam {} needs at least {} copies (the absorbed "
             "copy spans {} levels), only {} present".format(
                 seam_id, max(2, span + 1), span + 1, copies))
-    seam0 = pc.seam(seam_id)
-    (fa0, ga0), (fb0, gb0) = seam0.chosen_pairs()
 
     patches = pc.f_patches + pc.g_patches
     nodes = ([("F", p.id) for p in pc.f_patches]
              + [("C", p.id) for p in pc.g_patches])
     index = {node: i for i, node in enumerate(nodes)}
     uf = UnionFind(len(nodes))
-
-    def join(a, b):
-        uf.union(index[a], index[b])
-
-    join(("F", fa0), ("C", ga0))
-    join(("F", fb0), ("C", gb0))
-    for s in pc.seams:
-        if s.id == seam_id:
-            continue
+    uf.union(index["F", fa0], index["C", ga0])
+    uf.union(index["F", fb0], index["C", gb0])
+    for s in others:
         (fa, ga), (fb, gb) = s.chosen_pairs()
         if s.level_shift == 0:
             # Copies at a non-interleaving seam attach straight to F.
-            join(("F", fa), ("C", ga))
-            join(("F", fb), ("C", gb))
+            uf.union(index["F", fa], index["C", ga])
+            uf.union(index["F", fb], index["C", gb])
         else:
-            join(("C", ga), ("C", gb))
+            uf.union(index["C", ga], index["C", gb])
 
-    # Groups are named after their root node, so the first argument of
-    # every join must stay the root that survives it.
+    # Over ascending i the groups enter in first-member order, the order
+    # resolve gives its components; a name lists its members by label.
     groups = {}
     for i in range(len(nodes)):
-        groups.setdefault(nodes[uf.find(i)], []).append(i)
+        groups.setdefault(uf.find(i), []).append(i)
     rep_name = {}
     new_f = []
-    for _, members in sorted(groups.items()):
+    for members in groups.values():
         members.sort(key=nodes.__getitem__)
         name = "+".join("{}.{}".format(*nodes[m]) for m in members)
         new_f.append(Patch(
@@ -198,18 +177,11 @@ def absorb_trivial_seam(pc, seam_id, copies=None):
             new_g.append(replace(p, seams=None))
 
     new_seams = []
-    for s in pc.seams:
-        if s.id == seam_id:
-            continue
+    for s in others:
         f1, g1, f2, g2 = s.quadrants
-        new_seams.append(SeamCurve(
-            id=s.id,
-            quadrants=(rep_name[("F", f1)],
-                       neighbour if g1 == disk else g1,
-                       rep_name[("F", f2)],
-                       neighbour if g2 == disk else g2),
-            epsilon=s.epsilon,
-            level_shift=s.level_shift))
+        new_seams.append(replace(s, quadrants=(
+            rep_name["F", f1], neighbour if g1 == disk else g1,
+            rep_name["F", f2], neighbour if g2 == disk else g2)))
     return PatchComplex(new_f, new_g, new_seams)
 
 

@@ -316,6 +316,8 @@ def essential_certificate(level, copies, profile, side_prime,
     positive) and the dual closed curve is assembled from lcm(r, s)/r
     lifts on one side and lcm(r, s)/s on the other.
     """
+    if copies < 0:
+        raise DomainError("copies must be nonnegative")
     margin = profile.margin
     if not margin < level < copies - margin:
         raise RangeError(

@@ -242,7 +242,7 @@ class ResolvedSurface:
 class UnionFind:
     """Disjoint sets over the nodes 0..size-1: a list-backed forest with
     path halving.  A union keeps the root of its first argument, which
-    callers rely on to name and key merged sets."""
+    handlebody_certificate relies on to key its cluster genera."""
 
     def __init__(self, size):
         self.parent = list(range(size))

@@ -51,11 +51,9 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the resolve printer lists one component per "
-                   "copy, so a huge n on a growing complex runs out of "
-                   "memory")
 def test_huge_copy_count_keeps_the_exit_contract():
+    # The resolve printer lists one component per copy on this complex,
+    # so past cli.MAX_LISTED components the call is refused up front.
     run = subprocess.run(
         [sys.executable, "-m", "hakensum.cli", "resolve", "--scenario",
          str(ROOT / "tests" / "golden" / "seeded_6538.json"),
@@ -63,8 +61,10 @@ def test_huge_copy_count_keeps_the_exit_contract():
         cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")},
         preexec_fn=_cap_address_space, capture_output=True, encoding="utf-8",
         timeout=120)
-    assert run.returncode in (0, 2, 3)
-    assert "Traceback" not in run.stderr
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr == (
+        "error: the sum has 1000000000002 components, more than the "
+        "100000 a report may list\n")
 
 
 def test_huge_sweep_on_a_growing_complex_keeps_the_exit_contract():

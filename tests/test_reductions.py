@@ -1,12 +1,14 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from hakensum import (CanState, Curve, DisconnectionError, DomainError,
                       GuardViolationError, InsufficientCopiesError,
                       IntersectionInventory, MalformedComplexError, Pack,
-                      Slice, UndefinedPeriodError, absorb_trivial_seam,
+                      Patch, PatchComplex, SeamCurve, Slice,
+                      UndefinedPeriodError, absorb_trivial_seam,
                       applicable_moves, reduce_parities, remove_trivial,
                       resolve, torus_periodicity, tuna_can_run,
                       tuna_can_step)
@@ -96,12 +98,12 @@ class TestRemoveTrivial:
     def test_missing_disk_side_rejected(self):
         loaded = load_builtin("trivial-removal-demo")
         with pytest.raises(MalformedComplexError):
-            absorb_trivial_seam(loaded.patch_complex, "waist")
+            absorb_trivial_seam(loaded.patch_complex, "waist", 6)
 
     def test_unknown_seam_id_is_malformed(self):
         loaded = load_builtin("trivial-removal-demo")
         with pytest.raises(MalformedComplexError, match="'nope'"):
-            absorb_trivial_seam(loaded.patch_complex, "nope")
+            absorb_trivial_seam(loaded.patch_complex, "nope", 6)
         inv = IntersectionInventory(
             curves=(Curve(id="waist"), Curve(id="nope",
                                              essential_on_k=False)),
@@ -113,7 +115,6 @@ class TestRemoveTrivial:
         # Two interleaving seams chain three summand patches across
         # three levels, so the absorbed copy spans three levels and two
         # copies are not enough even though only one curve is removed.
-        from hakensum import Patch, PatchComplex, SeamCurve
         pc = PatchComplex(
             [Patch(id="f0", euler=-2)],
             [Patch(id="g0", euler=-2), Patch(id="g1", euler=-2),
@@ -131,6 +132,106 @@ class TestRemoveTrivial:
             a = resolve(pc, n)
             b = resolve(cleaned, n - 1)
             assert a.profile == b.profile
+
+
+def _complex(g_patches, seams):
+    """One F-patch ``f0`` on every F-side; ``g_patches`` maps id to euler,
+    and each seam is (id, its two G-sides, level shift)."""
+    return PatchComplex(
+        [Patch(id="f0", euler=-2)],
+        [Patch(id=pid, euler=euler) for pid, euler in g_patches.items()],
+        [SeamCurve(id=sid, quadrants=("f0", ga, "f0", gb), epsilon="+",
+                   level_shift=shift) for sid, ga, gb, shift in seams])
+
+
+class TestAbsorbRefusals:
+    """Each way a seam can fail to model an innermost trivial curve, with
+    its type and message; a complex failing several reports the first."""
+
+    def _refuses(self, pc, copies, error, message):
+        with pytest.raises(error, match="^{}$".format(re.escape(message))):
+            absorb_trivial_seam(pc, "triv", copies)
+
+    def test_shift_zero(self):
+        pc = _complex({"g0": -2, "d": 1}, [("triv", "d", "g0", 0)])
+        self._refuses(pc, 3, MalformedComplexError,
+                      "seam triv: a trivial seam must interleave the "
+                      "copies (level_shift +1 or -1)")
+
+    @pytest.mark.parametrize("g_patches, extra", [
+        ({"g0": -2, "d": -1}, []),
+        ({"g0": 1, "d": 1}, []),
+        ({"g0": -2, "d": 1}, [("sA", "d", "g0", 1)])])
+    def test_no_unique_innermost_disk(self, g_patches, extra):
+        # No disk, two disks, or a disk that meets a second seam.
+        pc = _complex(g_patches, [("triv", "d", "g0", 1)] + extra)
+        self._refuses(pc, 3, MalformedComplexError,
+                      "seam triv does not carry a unique innermost disk "
+                      "patch")
+
+    def test_drift_around_a_cycle(self):
+        pc = _complex({"g0": -2, "d": 1},
+                      [("sA", "g0", "g0", 1), ("triv", "d", "g0", 1)])
+        self._refuses(pc, 3, MalformedComplexError,
+                      "seam triv: the copy graph drifts around a cycle, so "
+                      "no single copy can be absorbed")
+
+    def test_neighbour_off_the_extreme_level(self):
+        # The F side attaches to the neighbour g0 at the bottom, yet g1
+        # sits one level below it.
+        pc = _complex({"g0": -2, "g1": -2, "d": 1},
+                      [("sA", "g1", "g0", 1), ("triv", "d", "g0", 1)])
+        self._refuses(pc, 3, MalformedComplexError,
+                      "seam triv: the disk's neighbour patch is not at the "
+                      "extreme level of the absorbed copy")
+
+    def test_band_too_narrow(self):
+        pc = _complex({"g0": -2, "g1": -2, "g2": -1, "d": 1},
+                      [("sA", "g0", "g1", 1), ("sB", "g1", "g2", 1),
+                       ("triv", "d", "g0", 1)])
+        self._refuses(pc, 2, InsufficientCopiesError,
+                      "absorbing at seam triv needs at least 3 copies (the "
+                      "absorbed copy spans 3 levels), only 2 present")
+        absorb_trivial_seam(pc, "triv", 3)
+
+    def test_first_failing_check_is_reported(self):
+        pc = _complex({"g0": -2, "d": -1}, [("triv", "d", "g0", 0)])
+        self._refuses(pc, 1, MalformedComplexError,
+                      "seam triv: a trivial seam must interleave the "
+                      "copies (level_shift +1 or -1)")
+        pc = _complex({"g0": -2, "g1": -2, "d": 1},
+                      [("sA", "g1", "g0", 1), ("triv", "d", "g0", 1)])
+        self._refuses(pc, 1, MalformedComplexError,
+                      "seam triv: the disk's neighbour patch is not at the "
+                      "extreme level of the absorbed copy")
+
+
+class TestAbsorbOrder:
+    def test_merged_patches_in_first_member_order(self):
+        # The interleaving seam sA joins g1 and g2 into a patch of G
+        # copies only; it follows the patch holding f0, the first node.
+        pc = _complex({"g0": -2, "g1": -2, "g2": -2, "d": 1},
+                      [("sA", "g1", "g2", 1), ("triv", "d", "g0", 1)])
+        absorbed = absorb_trivial_seam(pc, "triv", 2)
+        assert [p.id for p in absorbed.f_patches] == [
+            "C.d+C.g0+F.f0", "C.g1+C.g2"]
+        for n in range(2, 7):
+            assert (resolve(pc, n).profile
+                    == resolve(absorbed, n - 1).profile)
+
+    def test_random_complexes_absorb_in_first_member_order(self, seed):
+        rng = random.Random(seed + 43)
+        for _ in range(100):
+            pc, inv = random_complex_with_trivial_seams(rng, 1)
+            order = ([("F", p.id) for p in pc.f_patches]
+                     + [("C", p.id) for p in pc.g_patches])
+            absorbed = absorb_trivial_seam(pc, inv.inessential()[0].id,
+                                           inv.copies)
+            firsts = [min(order.index(tuple(label.split(".", 1)))
+                          for label in p.id.split("+"))
+                      for p in absorbed.f_patches]
+            # F-nodes come first, so patches holding one lead.
+            assert firsts == sorted(firsts)
 
 
 class TestInventoryChecks:

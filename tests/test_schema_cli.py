@@ -529,6 +529,24 @@ class TestReports:
                           "--n", "10", "--level", "1")
         assert code == EXIT_INPUT
 
+    def test_certify_negative_copy_count_says_so(self, capsys):
+        code, out = run_cli("certify", "--scenario", "doubled-handlebody",
+                            "--n", "-1", "--level", "1")
+        assert code == EXIT_INPUT and out == ""
+        assert (capsys.readouterr().err
+                == "error: copies must be nonnegative\n")
+
+    def test_trace_past_sys_maxsize(self):
+        n = 10 ** 20
+        code, out = run_cli("trace", "--scenario", "doubled-handlebody",
+                            "--n", str(n), "--format", "json")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        high, low = report["excursion"]
+        assert report["gamma_count"] == n - high + low
+        assert report["gamma_levels"] == [1 - low, n - high]
+        assert report["annulus_count"] == n - high + low - 1
+
     def test_reduce_demo(self):
         code, out = run_cli("reduce", "--scenario", "trivial-removal-demo",
                             "--format", "json")
@@ -621,6 +639,36 @@ class TestReports:
             {"closed": c.closed, "euler": c.euler, "genus": c.genus,
              "orientable": c.orientable, "pieces": c.piece_count}
             for c in expected.components]
+
+    @pytest.mark.parametrize("scenario", ["doubled-handlebody",
+                                          "solid-torus-reduced"])
+    def test_sweep_lists_at_most_max_listed_rows(self, monkeypatch, capsys,
+                                                 scenario):
+        monkeypatch.setattr(cli, "MAX_LISTED", 5)
+        code, _ = run_cli("sweep", "--scenario", scenario,
+                          "--from", "0", "--to", "4")
+        assert code == EXIT_OK
+        code, out = run_cli("sweep", "--scenario", scenario,
+                            "--from", "0", "--to", "5")
+        assert code == EXIT_INPUT and out == ""
+        assert capsys.readouterr().err == (
+            "error: the sweep covers 6 copy counts, more than the 5 a "
+            "report may list\n")
+
+    def test_resolve_lists_at_most_max_listed_components(self, monkeypatch,
+                                                         capsys):
+        # This complex resolves to n + 2 components at n copies.
+        monkeypatch.setattr(cli, "MAX_LISTED", 5)
+        path = str(GOLDEN / "seeded_6538.json")
+        code, out = run_cli("resolve", "--scenario", path, "--n", "3",
+                            "--format", "json")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["components"]) == 5
+        code, out = run_cli("resolve", "--scenario", path, "--n", "4")
+        assert code == EXIT_INPUT and out == ""
+        assert capsys.readouterr().err == (
+            "error: the sum has 6 components, more than the 5 a report "
+            "may list\n")
 
     def test_sweep_without_sections_is_input_error(self, tmp_path):
         path = write_scenario(tmp_path, {"version": 1, "name": "hollow"})

@@ -192,6 +192,18 @@ class TestCertificates:
         with pytest.raises(RangeError):
             essential_certificate(24, 30, profile, prime, dbl, EULERS)
 
+    @pytest.mark.parametrize("crossings", [(1, -1), (1, 1)])
+    def test_negative_copy_count_is_a_domain_error(self, crossings):
+        # Checked before the band, which is empty for any copies < 0.
+        prime = SideSystem("prime", (beta(crossings),))
+        dbl = SideSystem("dblprime", (beta((1, 1, 1), side="dblprime"),))
+        profile = compute_thresholds(2, prime, dbl)
+        for level in (-5, 0, 1, 14):
+            with pytest.raises(DomainError,
+                               match="^copies must be nonnegative$"):
+                essential_certificate(level, -1, profile, prime, dbl,
+                                      EULERS)
+
     def test_summand_euler_must_be_negative(self):
         with pytest.raises(DomainError):
             SumEulers(splitting=-4, summand=0, prime_side=-2,

@@ -253,7 +253,7 @@ class TestUnionFind:
 
     def test_absorb_keeps_merged_patch_names(self):
         pc = load_builtin("trivial-removal-demo").patch_complex
-        absorbed = absorb_trivial_seam(pc, "puncture")
+        absorbed = absorb_trivial_seam(pc, "puncture", 6)
         assert [(p.id, p.euler) for p in absorbed.f_patches] == [
             ("C.g_lower+C.g_upper+F.f_outer", -4),
             ("C.g_disk+F.f_inner", 0)]
