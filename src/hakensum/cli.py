@@ -37,9 +37,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_INPUT = 3
 
-# The most components a resolve report, or rows a sweep, may list.  Each
-# listed item costs one to three kilobytes, so past this a call is refused,
-# with exit 3, before any list is built.
+# The most components a resolve report or a reduce profile check, or rows
+# a sweep, may list.  Each listed item costs one to three kilobytes, so
+# past this a call is refused, with exit 3, before any list is built.
 MAX_LISTED = 10 ** 5
 
 
@@ -101,6 +101,12 @@ def _fmt(value):
 
 
 def _component_dicts(resolved):
+    """One dict per component, in order: the one listing of a resolved sum,
+    refused past ``MAX_LISTED`` components."""
+    if resolved.component_count > MAX_LISTED:
+        raise HakenSumError(
+            "the sum has {} components, more than the {} a report may "
+            "list".format(resolved.component_count, MAX_LISTED))
     return list(chain.from_iterable(
         [{"euler": c.euler, "closed": c.closed, "orientable": c.orientable,
           "genus": c.genus, "pieces": c.piece_count}] * count
@@ -109,10 +115,6 @@ def _component_dicts(resolved):
 
 def cmd_resolve(scenario, args, report):
     resolved = resolve(scenario.require("patch_complex"), args.n)
-    if resolved.component_count > MAX_LISTED:
-        raise HakenSumError(
-            "the sum has {} components, more than the {} a report may "
-            "list".format(resolved.component_count, MAX_LISTED))
     report.values.update(copies=args.n,
                          components=_component_dicts(resolved),
                          total_euler=resolved.total_euler)
@@ -182,9 +184,12 @@ def cmd_reduce(scenario, args, report):
     outcome = remove_trivial(inv, scenario.patch_complex)
     report.values["inessential_removed"] = outcome.removed
     inv = outcome.inventory
-    if outcome.profile_before is not None:
-        report.check("resolve_profile_preserved", outcome.profile_before,
-                     outcome.profile_after, "derived")
+    if outcome.before is not None:
+        # Listed as [count, [every euler]], the report's form of a profile.
+        before, after = (
+            [r.component_count, [d["euler"] for d in _component_dicts(r)]]
+            for r in (outcome.before, outcome.after))
+        report.check("resolve_profile_preserved", before, after, "derived")
     if inv.torus_mode:
         parity = reduce_parities(inv)
         report.values.update(net_positive=parity.net,
@@ -224,15 +229,14 @@ def cmd_sweep(scenario, args, report):
 
     if scenario.inventory is not None and scenario.inventory.torus_mode:
         did_anything = True
-        period = torus_periodicity(len(scenario.inventory.curves),
-                                   sweep_range)
-        report.values.update(
-            residue_period=period.period,
-            residue_classes=[list(c) for c in period.classes])
+        period = len(scenario.inventory.curves)
+        classes = torus_periodicity(period, sweep_range)
+        report.values.update(residue_period=period,
+                             residue_classes=[list(c) for c in classes])
         entry = scenario.expectations.get("residue_classes")
         if entry is not None:
-            report.check("residue_classes", entry["value"],
-                         period.class_count, entry["source"])
+            report.check("residue_classes", entry["value"], len(classes),
+                         entry["source"])
 
     if not did_anything:
         raise HakenSumError(

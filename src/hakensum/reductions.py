@@ -20,8 +20,8 @@ from typing import NamedTuple
 from .errors import (DisconnectionError, DomainError, GuardViolationError,
                      InsufficientCopiesError, MalformedComplexError,
                      UndefinedPeriodError)
-from .surfaces import (Patch, PatchComplex, UnionFind, level_components,
-                       merged_orientation, resolve)
+from .surfaces import (Patch, PatchComplex, ResolvedSurface, UnionFind,
+                       level_components, merged_orientation, resolve)
 
 
 class Curve(NamedTuple):
@@ -192,8 +192,8 @@ class RemovalOutcome:
     inventory: IntersectionInventory
     removed: int
     complex: PatchComplex | None
-    profile_before: tuple | None
-    profile_after: tuple | None
+    before: ResolvedSurface | None
+    after: ResolvedSurface | None
 
 
 def remove_trivial(inv, pc=None):
@@ -204,14 +204,14 @@ def remove_trivial(inv, pc=None):
     When a patch complex is attached, each inessential curve id must name
     a trivial seam of the complex; the seams are absorbed one by one
     (each absorption also needs the band of remaining copies to hold the
-    absorbed copy's level span) and the resolution profile
-    (``ResolvedSurface.profile``) is checked to survive the substitution.
+    absorbed copy's level span) and the resolution profile of the sum,
+    ``before``, is checked to survive in the cleaned sum, ``after``.
     """
     trivial = inv.inessential()
     m = len(trivial)
     if m == 0:
         return RemovalOutcome(inventory=inv, removed=0, complex=pc,
-                              profile_before=None, profile_after=None)
+                              before=None, after=None)
     if inv.copies <= m:
         raise InsufficientCopiesError(
             "cannot absorb {} copies out of {}".format(m, inv.copies))
@@ -226,14 +226,14 @@ def remove_trivial(inv, pc=None):
         for step, curve in enumerate(trivial):
             new_pc = absorb_trivial_seam(new_pc, curve.id,
                                          copies=inv.copies - step)
-        before = resolve(pc, inv.copies).profile
-        after = resolve(new_pc, cleaned.copies).profile
-        if before != after:
+        before = resolve(pc, inv.copies)
+        after = resolve(new_pc, cleaned.copies)
+        if before.profile != after.profile:
             raise MalformedComplexError(
                 "absorbing {} trivial seams changed the resolution "
-                "profile: {} != {}".format(m, before, after))
+                "profile: {} != {}".format(m, before.profile, after.profile))
     return RemovalOutcome(inventory=cleaned, removed=m, complex=new_pc,
-                          profile_before=before, profile_after=after)
+                          before=before, after=after)
 
 
 @dataclass(frozen=True)
@@ -297,32 +297,20 @@ def reduce_parities(inv):
         cancelled_pairs=cancelled)
 
 
-@dataclass(frozen=True)
-class PeriodicityReport:
-    """Residue classes of copy counts giving isotopic sums."""
-
-    period: int
-    classes: tuple
-
-    @property
-    def class_count(self):
-        return len(self.classes)
-
-
 def torus_periodicity(period, copy_range):
     """Partition copy counts by residue: adding ``period`` copies of the
     torus gives an isotopic surface, so a sweep meets at most ``period``
     isotopy classes.  ``copy_range`` is a ``range`` of consecutive counts,
-    so every ``period``-th member shares a residue.
+    so each class is a range too, ``copy_range[r::period]``.
     """
     if period <= 0:
         raise UndefinedPeriodError(
             "periodicity needs a positive number of intersection curves")
     if copy_range.start < 0:
         raise DomainError("copies must be nonnegative")
-    classes = tuple(tuple(copy_range[r::period])
-                    for r in range(min(period, len(copy_range))))
-    return PeriodicityReport(period=period, classes=classes)
+    # Slicing first never asks the length of a range too long for len().
+    return tuple(copy_range[r::period]
+                 for r in range(len(copy_range[:period])))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ class Check:
 
 
 class Report:
-    """The checks of one verification run, with its notes and values.
+    """The checks of one verification run, with its values.
 
     The worked families and every CLI subcommand fill one in; ``values``
     holds the other named figures the run reports.
@@ -54,7 +54,6 @@ class Report:
     def __init__(self, **values):
         self.values = values
         self.checks = []
-        self.notes = []
 
     def check(self, name, expected, actual, source):
         """Record one check and return it."""
@@ -96,8 +95,8 @@ def casson_gordon_scenario(boxes, twists):
     ``twists`` counts applications of the twisting move, each of which
     contributes two copies of the summand.  For five regions the curated
     seam complex is resolved and checked against its file's expectations;
-    for larger odd counts only the Euler arithmetic is available and the
-    report says so.
+    for larger odd counts only the Euler arithmetic is available, and the
+    returned scenario has no patch complex.
     """
     if boxes % 2 == 0 or boxes < 5:
         raise ScenarioError(
@@ -113,7 +112,6 @@ def casson_gordon_scenario(boxes, twists):
         scenario = schema.load_builtin(name)
         check_resolved(report, scenario,
                        resolve(scenario.patch_complex, copies), copies)
-        report.notes.append("seam data: curated five-region complex")
     else:
         # Two copies per twist: genus (boxes - 1) + 1 per copy.
         scenario = schema.scenario_from_dict({
@@ -126,8 +124,6 @@ def casson_gordon_scenario(boxes, twists):
         euler_sum = euler_of_sum(2 * (2 - boxes), -2, copies)
         report.check("genus", entry["base"] + entry["per_copy"] * copies,
                      genus_from_euler(euler_sum), entry["source"])
-        report.notes.append("seam data: euler bookkeeping only (no curated "
-                            "complex for {} regions)".format(boxes))
     return scenario, report
 
 

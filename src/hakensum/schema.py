@@ -176,8 +176,7 @@ def _side_from_dict(d, label):
                             index=_require_int(b, "index", ctx),
                             crossings=tuple(_require_list(
                                 b, "crossings", ctx, (int,), "+1 or -1")))
-                    for b in _objects(d, "betas", ctx)),
-        alpha_count=_require_int(d, "alpha_count", ctx, 0))
+                    for b in _objects(d, "betas", ctx)))
 
 
 def sides_from_dict(d):

@@ -64,7 +64,6 @@ class SideSystem:
 
     side: str
     betas: tuple
-    alpha_count: int = 0
 
     def __post_init__(self):
         if not self.betas:

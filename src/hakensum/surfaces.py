@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import groupby
 from typing import NamedTuple
 
 from .errors import DomainError, MalformedComplexError
@@ -216,11 +216,6 @@ class ResolvedSurface:
     copies: int
 
     @property
-    def components(self):
-        # One list per run, so a count too large to list fails at once.
-        return tuple(chain.from_iterable([c] * k for c, k in self.runs))
-
-    @property
     def component_count(self):
         return sum(k for _, k in self.runs)
 
@@ -235,8 +230,10 @@ class ResolvedSurface:
 
     @property
     def profile(self):
-        """(component count, component eulers): the order is by euler."""
-        return self.component_count, tuple(c.euler for c in self.components)
+        """((euler, count), ...): how many components have each euler.
+        Components come in euler order, so equal eulers are adjacent."""
+        by_euler = groupby(self.runs, key=lambda run: run[0].euler)
+        return tuple((e, sum(k for _, k in group)) for e, group in by_euler)
 
 
 class UnionFind:

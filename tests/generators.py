@@ -132,8 +132,7 @@ def random_side_system(rng, side, max_betas=4, max_crossings=8,
             beta = BetaArc(side=side, index=i + 1,
                            crossings=half + tuple(-c for c in half))
         betas.append(beta)
-    return SideSystem(side=side, betas=tuple(betas),
-                      alpha_count=rng.randint(1, 4))
+    return SideSystem(side=side, betas=tuple(betas))
 
 
 def random_parity_inventory(rng, max_extra=4):

@@ -27,10 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_certified_lifts_stay_in_the_band():
     # Shifts 1 and 5, margin 5: level 14 of 20 is in the certified band,
     # yet the prime lift from 18 walks 18, 19, 20, 21, 20, 19.
-    prime = SideSystem("prime", (BetaArc("prime", 1, (1, 1, 1, -1, -1)),),
-                       alpha_count=1)
-    dbl = SideSystem("dblprime", (BetaArc("dblprime", 1, (1,) * 5),),
-                     alpha_count=1)
+    prime = SideSystem("prime", (BetaArc("prime", 1, (1, 1, 1, -1, -1)),))
+    dbl = SideSystem("dblprime", (BetaArc("dblprime", 1, (1,) * 5),))
     eulers = SumEulers(splitting=-4, summand=-2, prime_side=-2,
                        dblprime_side=-2)
     profile = compute_thresholds(2, prime, dbl)
@@ -83,6 +81,27 @@ def test_huge_sweep_on_a_growing_complex_keeps_the_exit_contract():
     rows = json.loads(run.stdout)["progression"]
     assert [(r["copies"], r["components"]) for r in rows] == [
         (n, n + 2) for n in range(999999999998, 1000000000001)]
+
+
+def test_huge_reduce_keeps_the_exit_contract(tmp_path):
+    # remove_trivial compares the two profiles as (euler, count) pairs,
+    # so only the report's listing of them meets cli.MAX_LISTED.
+    raw = json.loads((ROOT / "src" / "hakensum" / "data"
+                      / "trivial_removal_demo.json").read_text(
+                          encoding="utf-8"))
+    raw["inventory"]["copies"] = 10 ** 12
+    path = tmp_path / "huge-inventory.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "hakensum.cli", "reduce", "--scenario",
+         str(path)],
+        cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")},
+        preexec_fn=_cap_address_space, capture_output=True, encoding="utf-8",
+        timeout=120)
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr == (
+        "error: the sum has 1000000000000 components, more than the "
+        "100000 a report may list\n")
 
 
 def test_huge_report_value_keeps_the_exit_contract(tmp_path):

@@ -59,12 +59,23 @@ class TestRemoveTrivial:
         loaded = load_builtin("trivial-removal-demo")
         out = remove_trivial(loaded.inventory, loaded.patch_complex)
         assert out.removed == 1
-        assert out.profile_before == out.profile_after
+        assert out.before.profile == out.after.profile
         assert out.complex is not None
         # the summand keeps its euler; the other side absorbs one copy
         assert out.complex.euler_g == loaded.patch_complex.euler_g
         assert out.complex.euler_f == (loaded.patch_complex.euler_f
                                        + loaded.patch_complex.euler_g)
+
+    def test_profile_is_read_from_the_runs(self):
+        # The demo gains one euler -2 component per copy; its profile
+        # holds the count, so a trillion copies list nothing.
+        loaded = load_builtin("trivial-removal-demo")
+        inv = IntersectionInventory(curves=loaded.inventory.curves,
+                                    copies=10 ** 12)
+        out = remove_trivial(inv, loaded.patch_complex)
+        assert out.before.profile == ((-5, 1), (-2, 10 ** 12 - 2), (-1, 1))
+        assert out.after.profile == out.before.profile
+        assert out.after.copies == 10 ** 12 - 1
 
     def test_random_complexes_profile_preserved(self, seed):
         rng = random.Random(seed + 41)
@@ -73,7 +84,7 @@ class TestRemoveTrivial:
             pc, inv = random_complex_with_trivial_seams(rng, trivial_count)
             out = remove_trivial(inv, pc)
             assert out.removed == trivial_count
-            assert out.profile_before == out.profile_after
+            assert out.before.profile == out.after.profile
 
     def test_equivalence_holds_for_every_valid_copy_count(self, seed):
         # Below max(2, span + 1) copies absorption is not faithful, and
@@ -331,13 +342,13 @@ class TestReduceParities:
 
 class TestTorusPeriodicity:
     def test_three_classes(self):
-        report = torus_periodicity(3, range(1, 11))
-        assert report.classes == ((1, 4, 7, 10), (2, 5, 8), (3, 6, 9))
-        assert report.class_count == 3
+        classes = torus_periodicity(3, range(1, 11))
+        assert all(isinstance(c, range) for c in classes)
+        assert [list(c) for c in classes] == [[1, 4, 7, 10], [2, 5, 8],
+                                              [3, 6, 9]]
 
     def test_single_class(self):
-        report = torus_periodicity(1, range(1, 8))
-        assert report.class_count == 1
+        assert torus_periodicity(1, range(1, 8)) == (range(1, 8),)
 
     def test_zero_curves_rejected(self):
         with pytest.raises(UndefinedPeriodError):
@@ -346,7 +357,13 @@ class TestTorusPeriodicity:
     def test_negative_copy_counts_rejected(self):
         with pytest.raises(DomainError, match="copies must be nonnegative"):
             torus_periodicity(3, range(-3, 3))
-        assert torus_periodicity(3, range(0, 3)).class_count == 3
+        assert len(torus_periodicity(3, range(0, 3))) == 3
+
+    def test_range_past_maxsize(self):
+        # The classes are ranges, so no count of the range is listed and
+        # len() is never asked of it.
+        ns = range(0, 10 ** 20)
+        assert torus_periodicity(3, ns) == tuple(ns[r::3] for r in range(3))
 
     def test_matches_residue_oracle(self, seed):
         rng = random.Random(seed + 44)
@@ -355,10 +372,9 @@ class TestTorusPeriodicity:
             start = rng.randint(0, 5)
             stop = start + rng.randint(1, 25)
             ns = range(start, stop)
-            report = torus_periodicity(period, ns)
-            assert [list(c) for c in report.classes] == residue_classes(
-                period, ns)
-            assert report.class_count <= period
+            classes = torus_periodicity(period, ns)
+            assert [list(c) for c in classes] == residue_classes(period, ns)
+            assert len(classes) <= period
 
 
 class TestTunaCan:

@@ -225,7 +225,6 @@ NUMERIC_FIELDS = [
     ("doubled_handlebody", ("sides", "euler", "prime_side"), CERTIFY),
     ("doubled_handlebody", ("sides", "euler", "dblprime_side"), CERTIFY),
     ("doubled_handlebody", ("sides", "boundary_count"), ["shifts"]),
-    ("doubled_handlebody", ("sides", "prime", "alpha_count"), ["shifts"]),
 ]
 
 
@@ -638,7 +637,7 @@ class TestReports:
         assert json.loads(out)["components"] == [
             {"closed": c.closed, "euler": c.euler, "genus": c.genus,
              "orientable": c.orientable, "pieces": c.piece_count}
-            for c in expected.components]
+            for c, count in expected.runs for _ in range(count)]
 
     @pytest.mark.parametrize("scenario", ["doubled-handlebody",
                                           "solid-torus-reduced"])
@@ -665,6 +664,19 @@ class TestReports:
         assert code == EXIT_OK
         assert len(json.loads(out)["components"]) == 5
         code, out = run_cli("resolve", "--scenario", path, "--n", "4")
+        assert code == EXIT_INPUT and out == ""
+        assert capsys.readouterr().err == (
+            "error: the sum has 6 components, more than the 5 a report "
+            "may list\n")
+
+    def test_reduce_lists_at_most_max_listed_components(self, monkeypatch,
+                                                        capsys):
+        # The demo's profile check lists the 6 components of its sum.
+        monkeypatch.setattr(cli, "MAX_LISTED", 6)
+        code, _ = run_cli("reduce", "--scenario", "trivial-removal-demo")
+        assert code == EXIT_OK
+        monkeypatch.setattr(cli, "MAX_LISTED", 5)
+        code, out = run_cli("reduce", "--scenario", "trivial-removal-demo")
         assert code == EXIT_INPUT and out == ""
         assert capsys.readouterr().err == (
             "error: the sum has 6 components, more than the 5 a report "

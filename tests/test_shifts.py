@@ -131,8 +131,7 @@ class TestThresholds:
             dbl = random_side_system(rng, "dblprime")
             before = compute_thresholds(3, prime, dbl)
             extra = random_beta(rng, "prime", 99)
-            grown = SideSystem("prime", prime.betas + (extra,),
-                               prime.alpha_count)
+            grown = SideSystem("prime", prime.betas + (extra,))
             after = compute_thresholds(3, grown, dbl)
             assert after.max_crossing_count >= before.max_crossing_count
 

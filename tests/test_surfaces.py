@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,7 +80,7 @@ class TestResolve:
         for n in range(1, 6):
             resolved = resolve(pc, n)
             assert resolved.component_count == 1
-            assert resolved.components[0].genus == 1
+            assert resolved.runs[0][0].genus == 1
 
     def test_missing_patch_rejected(self):
         with pytest.raises(MalformedComplexError):
@@ -110,7 +111,9 @@ class TestResolve:
             pc = random_patch_complex(rng, max_f=3, max_g=3, max_seams=4)
             for n in range(0, 6):
                 resolved = resolve(pc, n)
-                assert resolved.profile == brute_force_components(pc, n)
+                count, eulers = brute_force_components(pc, n)
+                assert resolved.component_count == count
+                assert resolved.profile == tuple(Counter(eulers).items())
 
     def test_records_match_oracle_with_mixed_orientations(self, seed):
         rng = random.Random(seed + 15)
@@ -118,7 +121,8 @@ class TestResolve:
             pc = with_random_orientations(rng, random_patch_complex(
                 rng, max_f=4, max_g=4, max_seams=6))
             for n in list(range(0, 41)) + [97, 256]:
-                components = resolve(pc, n).components
+                components = [c for c, k in resolve(pc, n).runs
+                              for _ in range(k)]
                 records = [(c.euler, c.piece_count, c.orientable)
                            for c in components]
                 assert (sorted(records, key=record_order)
@@ -199,7 +203,7 @@ class TestResolve:
         assert [resolve(pc, n) for n in ns] == expected
         assert list(resolve_range(pc, 0, 18)) == [
             resolve_by_union_find(pc, n) for n in range(18)]
-        assert [c.euler for c in expected[-1].components] == [-2, 1, 2]
+        assert expected[-1].profile == ((-2, 1), (1, 1), (2, 1))
 
     def test_runs_stay_few_while_the_count_grows(self):
         # seeded_6538 gains one component per copy: n + 2 in all.  The
@@ -215,7 +219,7 @@ class TestResolve:
         pc = load_builtin("cg-pretzel-m5").patch_complex
         resolved = resolve(pc, 6)
         assert resolved.component_count == 1
-        only = resolved.components[0]
+        only = resolved.runs[0][0]
         assert only.euler == -18
         assert only.closed and only.orientable
         assert only.genus == 10
@@ -227,8 +231,8 @@ class TestResolve:
             [SeamCurve(id="s", quadrants=("f", "g", "f", "g"),
                        epsilon="+")])
         resolved = resolve(pc, 2)
-        assert all(c.orientable is None for c in resolved.components)
-        assert all(c.genus is None for c in resolved.components)
+        assert all(c.orientable is None for c, _ in resolved.runs)
+        assert all(c.genus is None for c, _ in resolved.runs)
 
 
 class TestUnionFind:
