@@ -276,38 +276,51 @@ class _Window(NamedTuple):
     closed: dict
 
 
-def _merge(classes, joins):
-    """Union the classes joined by the index pairs ``joins``.  Returns the
-    root of each class and, per root, its summed [euler, pieces, flags,
-    first]."""
-    uf = UnionFind(len(classes))
+def _plan(size, joins, ports=()):
+    """The union-find step of a composition: union the classes 0..size-1
+    joined by the index pairs ``joins``.  Returns the merged class of each
+    port, the merged class of each class, how many merged classes carry a
+    port, and how many there are.  Those that carry a port are numbered
+    first, in the order the ports meet them; the rest follow in the order
+    the classes meet them."""
+    uf = UnionFind(size)
     for x, y in joins:
         uf.union(x, y)
-    roots = list(map(uf.find, range(len(classes))))
-    merged = {}
-    for root, (euler, pieces, flags, first) in zip(roots, classes):
-        acc = merged.get(root)
+    roots = list(map(uf.find, range(size)))
+    index = {}
+    ports = tuple(index.setdefault(roots[c], len(index)) for c in ports)
+    opened = len(index)
+    slots = tuple(index.setdefault(r, len(index)) for r in roots)
+    return ports, slots, opened, len(index)
+
+
+def _merge(classes, plan):
+    """The summed [euler, pieces, flags, first] of each merged class of
+    the plan, in its numbering."""
+    _, slots, _, count = plan
+    merged = [None] * count
+    for slot, stats in zip(slots, classes):
+        acc = merged[slot]
         if acc is None:
-            merged[root] = [euler, pieces, flags, first]
+            merged[slot] = list(stats)
         else:
+            euler, pieces, flags, first = stats
             acc[0] += euler
             acc[1] += pieces
             acc[2] |= flags
             acc[3] = min(acc[3], first)
-    return roots, merged
+    return merged
 
 
-def _regroup(levels, classes, joins, ports, closed):
-    """The window whose ports are the given class indices, after the
-    joins; a merged class that keeps no port is counted in ``closed``."""
-    roots, merged = _merge(classes, joins)
-    index = {}
-    ports = tuple(index.setdefault(roots[c], len(index)) for c in ports)
-    for root, stats in merged.items():
-        if root not in index:
-            key = tuple(stats)
-            closed[key] = closed.get(key, 0) + 1
-    return _Window(levels, ports, tuple(merged[r] for r in index), closed)
+def _regroup(levels, classes, plan, closed):
+    """The window whose ports are the plan's port classes; a merged class
+    that keeps no port is counted in ``closed``."""
+    ports, _, opened, _ = plan
+    merged = _merge(classes, plan)
+    for stats in merged[opened:]:
+        key = tuple(stats)
+        closed[key] = closed.get(key, 0) + 1
+    return _Window(levels, ports, tuple(merged[:opened]), closed)
 
 
 def _component(euler, pieces, flags):
@@ -337,6 +350,12 @@ class _Levels:
     associative, so the window of n levels is a product of O(log n)
     windows, each product costing O(|F| + |G| + |seams|).
 
+    A window's classes are exactly its port-carrying classes, numbered
+    by first port, so ``ports`` alone fixes which classes a composition
+    or the last step merges.  Each call keeps the union-find plan of every
+    port shape it meets in ``plans``, keyed (a.ports, b.ports) for a
+    composition and (ports,) for the last step, and reruns only the sums.
+
     Ties in (euler, pieces) go by first member, and no level is needed
     to break them.  A seam of shift +1 or -1 that joins G-patch j at a
     level to k one level up also ties an F-patch to j at level n and
@@ -354,6 +373,7 @@ class _Levels:
         f_index = {p.id: i for i, p in enumerate(pc.f_patches)}
         g_index = {p.id: j for j, p in enumerate(pc.g_patches)}
         ng = self.ng = len(pc.g_patches)
+        self.plans = {}
         self.euler_f, self.euler_g = pc.euler_f, pc.euler_g
         ties = {}  # hub -> the G-patches its shift-0 seams tie to it
         self.links = []  # (j, k): j at a level meets k one level up
@@ -387,10 +407,9 @@ class _Levels:
         """The window of one level: its bottom and top ports are the same
         nodes, and the G-patches tied to one hub are joined through it."""
         ties = self.ties.values()
-        return _regroup(
-            1, self.g_classes,
-            [(tied[0], j) for tied in ties for j in tied[1:]],
-            list(range(self.ng)) * 2 + [tied[0] for tied in ties], {})
+        return _regroup(1, self.g_classes, _plan(
+            self.ng, [(tied[0], j) for tied in ties for j in tied[1:]],
+            list(range(self.ng)) * 2 + [tied[0] for tied in ties]), {})
 
     def compose(self, a, b):
         """The window of ``a``'s levels with ``b``'s stacked on top: the
@@ -398,17 +417,23 @@ class _Levels:
         shared.  None is the empty window."""
         if a is None:
             return b
-        ng, k = self.ng, len(a.classes)
-        joins = [(a.ports[ng + j], k + b.ports[up]) for j, up in self.links]
-        joins += [(a.ports[x], k + b.ports[x])
-                  for x in range(2 * ng, len(a.ports))]
-        ports = (a.ports[:ng] + tuple(k + c for c in b.ports[ng:2 * ng])
-                 + a.ports[2 * ng:])
+        shape = (a.ports, b.ports)
+        plan = self.plans.get(shape)
+        if plan is None:
+            ng, k = self.ng, len(a.classes)
+            joins = [(a.ports[ng + j], k + b.ports[up])
+                     for j, up in self.links]
+            joins += [(a.ports[x], k + b.ports[x])
+                      for x in range(2 * ng, len(a.ports))]
+            ports = (a.ports[:ng] + tuple(k + c for c in b.ports[ng:2 * ng])
+                     + a.ports[2 * ng:])
+            plan = self.plans[shape] = _plan(
+                k + len(b.classes), joins, ports)
         closed = dict(a.closed)
         for key, count in b.closed.items():
             closed[key] = closed.get(key, 0) + count
-        return _regroup(a.levels + b.levels, a.classes + b.classes, joins,
-                        ports, closed)
+        return _regroup(a.levels + b.levels, a.classes + b.classes, plan,
+                        closed)
 
     def window(self, n):
         """The window of levels 1..n by binary powering (None at n = 0)."""
@@ -426,20 +451,25 @@ class _Levels:
         hubs and the ports at levels 1 and n.  With no levels (None) the
         F-patches re-join one another, recovering F."""
         if window is None:
-            return self._surface(self.f_classes, self.rejoin, {}, 0)
-        k, ports, hub_port = len(window.classes), window.ports, 2 * self.ng
-        joins = [(k + h, ports[hub_port + x])
-                 for x, h in enumerate(self.ties)]
-        joins += [(k + f, ports[port]) for f, port in self.ends]
-        return self._surface(window.classes + self.f_classes, joins,
+            return self._surface(self.f_classes, _plan(
+                len(self.f_classes), self.rejoin), {}, 0)
+        shape = (window.ports,)
+        plan = self.plans.get(shape)
+        if plan is None:
+            k, ports, hub_port = len(window.classes), window.ports, 2 * self.ng
+            joins = [(k + h, ports[hub_port + x])
+                     for x, h in enumerate(self.ties)]
+            joins += [(k + f, ports[port]) for f, port in self.ends]
+            plan = self.plans[shape] = _plan(
+                k + len(self.f_classes), joins)
+        return self._surface(window.classes + self.f_classes, plan,
                              window.closed, window.levels)
 
-    def _surface(self, classes, joins, closed, copies):
-        """The ResolvedSurface of the classes after the joins, with the
+    def _surface(self, classes, plan, closed, copies):
+        """The ResolvedSurface of the classes merged by the plan, with the
         components counted in ``closed`` added."""
-        _, merged = _merge(classes, joins)
         groups = [(euler, pieces, first, flags, 1)
-                  for euler, pieces, flags, first in merged.values()]
+                  for euler, pieces, flags, first in _merge(classes, plan)]
         groups += [(euler, pieces, first, flags, count)
                    for (euler, pieces, flags, first), count in closed.items()]
         groups.sort(key=lambda g: g[:3])

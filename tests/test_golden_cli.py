@@ -44,6 +44,27 @@ def test_report_matches_capture(case):
     assert out == capture.read_text(encoding="utf-8")
 
 
+# Every JSON golden case, and two long reports too large to capture: a
+# resolve with 1,002 components in runs and a 201-row sweep.
+ROUND_TRIP = [pytest.param(_argv(c), id=c["name"])
+              for c in CASES if "json" in c["argv"]] + [
+    pytest.param(["resolve", "--scenario", str(GOLDEN / "seeded_6538.json"),
+                  "--n", "1000", "--format", "json"],
+                 id="resolve-seeded-6538-n1000-json"),
+    pytest.param(["sweep", "--scenario", "doubled-handlebody", "--from", "0",
+                  "--to", "200", "--format", "json"],
+                 id="sweep-doubled-handlebody-0-200-json"),
+]
+
+
+@pytest.mark.parametrize("argv", ROUND_TRIP)
+def test_json_report_is_the_indented_encoding(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        main(argv)
+    out = buf.getvalue()
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
 if __name__ == "__main__" and sys.argv[1:] == ["--update"]:
     for case in CASES:
         code, out = _run(case)

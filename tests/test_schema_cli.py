@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import random
@@ -687,6 +688,47 @@ class TestReports:
         code, _ = run_cli("sweep", "--scenario", path,
                           "--from", "1", "--to", "3")
         assert code == EXIT_INPUT
+
+
+def _json_values():
+    """Nested JSON-like values.  A list is drawn as runs: each item repeated
+    as one object, the way a report lists a run of equal components, or as
+    equal but distinct copies."""
+    escaped = st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600a')
+    leaves = (st.none() | st.booleans() | st.integers()
+              | st.integers(-10 ** 40, 10 ** 40) | st.floats() | st.text()
+              | escaped)
+
+    def runs(items):
+        return [x for item, count, shared in items
+                for x in ([item] * count if shared
+                          else [copy.deepcopy(item) for _ in range(count)])]
+
+    def extend(children):
+        items = st.tuples(children, st.integers(1, 3), st.booleans())
+        return (st.lists(items, max_size=4).map(runs)
+                | st.dictionaries(st.text(), children, max_size=4))
+    return st.recursive(leaves, extend, max_leaves=30)
+
+
+class TestJsonRenderer:
+    @given(_json_values())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_indented_encoder(self, value):
+        assert cli._json(value) == json.dumps(value, sort_keys=True,
+                                              indent=2)
+
+    def test_empty_containers_and_runs(self):
+        d = {"b": [], "a": {}}
+        value = [d, d, dict(d), [d] * 3, "\u00e9\"\\\x01", -5, True, None]
+        assert cli._json(value) == json.dumps(value, sort_keys=True,
+                                              indent=2)
+
+    def test_integer_past_the_digit_limit_raises(self):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python has no limit on integer digits")
+        with pytest.raises(ValueError):
+            cli._json({"copies": [10 ** 4300]})
 
 
 SUBCOMMANDS = ("resolve", "trace", "shifts", "certify", "reduce", "sweep",

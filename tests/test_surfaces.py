@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from pathlib import Path
@@ -10,6 +11,7 @@ from hakensum import (DomainError, MalformedComplexError, Patch,
                       PatchComplex, SeamCurve, SurfaceDescriptor,
                       absorb_trivial_seam, conjectured_period,
                       euler_of_sum, genus_from_euler, resolve)
+from hakensum import surfaces
 from hakensum.schema import load_builtin, load_scenario
 from hakensum.surfaces import UnionFind, resolve_range
 
@@ -233,6 +235,64 @@ class TestResolve:
         resolved = resolve(pc, 2)
         assert all(c.orientable is None for c, _ in resolved.runs)
         assert all(c.genus is None for c, _ in resolved.runs)
+
+
+def _count_plans(monkeypatch):
+    """Count the union-finds ``resolve`` runs: ``surfaces._plan`` is its
+    one entry to them."""
+    calls = []
+    plan = surfaces._plan
+    monkeypatch.setattr(surfaces, "_plan",
+                        lambda *args: calls.append(args) or plan(*args))
+    return calls
+
+
+def _ring(k):
+    """k annular G-patches joined in a ring by k seams of shift +1, with F
+    cut into k annuli: F + nG has gcd(n - 1, k) components, and the window
+    shape repeats with period k."""
+    def seam(i):
+        j = (i + 1) % k
+        return SeamCurve(id="s%d" % i, epsilon="+", level_shift=1,
+                         quadrants=("f%d" % i, "g%d" % i, "f%d" % j,
+                                    "g%d" % j))
+    return PatchComplex([Patch(id="f%d" % i, euler=0) for i in range(k)],
+                        [Patch(id="g%d" % i, euler=0) for i in range(k)],
+                        [seam(i) for i in range(k)])
+
+
+class TestPlans:
+    """Which classes a composition merges depends only on the two windows'
+    port shapes, so a call runs one union-find per distinct shape."""
+
+    @pytest.mark.parametrize("source", sorted(
+        ["cg-pretzel-m5", "doubled-handlebody", "trivial-removal-demo"]
+        + [p.name for p in GOLDEN.glob("seeded_*.json")]))
+    def test_a_longer_range_runs_no_more_union_finds(self, monkeypatch,
+                                                     source):
+        scenario = (load_scenario(GOLDEN / source) if source.endswith(".json")
+                    else load_builtin(source))
+        calls = _count_plans(monkeypatch)
+        counts = []
+        for stop in (201, 2001):
+            calls.clear()
+            for _ in resolve_range(scenario.patch_complex, 0, stop):
+                pass
+            counts.append(len(calls))
+        assert counts[1] <= counts[0]
+
+    def test_ring_rows_match_union_find(self, monkeypatch):
+        k = 5
+        pc = _ring(k)
+        calls = _count_plans(monkeypatch)
+        rows = list(resolve_range(pc, 0, 4 * k + 8))
+        assert rows == [resolve_by_union_find(pc, n)
+                        for n in range(4 * k + 8)]
+        assert [r.component_count for r in rows] == [
+            math.gcd(n - 1, k) for n in range(4 * k + 8)]
+        # The unit, F alone, and k shapes each for a one-level step and
+        # for the last step.
+        assert len(calls) == 2 * k + 2
 
 
 class TestUnionFind:
