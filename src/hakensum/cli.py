@@ -45,40 +45,18 @@ EXIT_INPUT = 3
 MAX_LISTED = 10 ** 5
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; the exit-code contract
-    # reserves 2 for expectation mismatches, so remap usage errors.
+    # reserves 2 for expectation mismatches, so a usage error is an input
+    # error like any other.
     def error(self, message):
-        raise _UsageError(message)
+        raise HakenSumError(message)
 
 
 def _load(path):
     if path in schema.BUILTIN_SCENARIOS:
         return schema.load_builtin(path)
     return schema.load_scenario(path)
-
-
-def _finish(report, fmt, strict):
-    """Write the report to stdout; the exit code says whether it passed.
-    Under ``strict`` a failed check replaces the report with its name.
-    The report is rendered whole before any of it is written, so one that
-    cannot be printed (an integer past the interpreter's digit limit)
-    writes nothing and exits 3."""
-    failed = [c.name for c in report.checks if not c.passed]
-    if strict and failed:
-        sys.stderr.write("expectation failed: {}\n".format(failed[0]))
-        return EXIT_MISMATCH
-    try:
-        text = _render(report, fmt)
-    except ValueError as exc:
-        sys.stderr.write("error: cannot print the report: {}\n".format(exc))
-        return EXIT_INPUT
-    sys.stdout.write(text)
-    return EXIT_MISMATCH if failed else EXIT_OK
 
 
 def _render(report, fmt):
@@ -322,19 +300,29 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand and return its exit code; no other function
+    maps an outcome to one.  The report is rendered whole before any of it
+    is written, so a value that cannot be printed (an integer past the
+    interpreter's digit limit, in the report or in a message that states
+    a count) writes nothing and exits 3."""
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        sys.stderr.write("error: {}\n".format(exc))
-        return EXIT_INPUT
-    try:
         scenario = _load(args.scenario)
         report = Report(command=args.command, scenario=scenario.name)
         SUBCOMMANDS[args.command][0](scenario, args, report)
+        failed = [c.name for c in report.checks if not c.passed]
+        if failed and getattr(args, "strict", False):
+            sys.stderr.write("expectation failed: {}\n".format(failed[0]))
+            return EXIT_MISMATCH
+        text = _render(report, args.format)
     except HakenSumError as exc:
         sys.stderr.write("error: {}\n".format(exc))
         return EXIT_INPUT
-    return _finish(report, args.format, getattr(args, "strict", False))
+    except ValueError as exc:
+        sys.stderr.write("error: cannot print the report: {}\n".format(exc))
+        return EXIT_INPUT
+    sys.stdout.write(text)
+    return EXIT_MISMATCH if failed else EXIT_OK
 
 
 if __name__ == "__main__":

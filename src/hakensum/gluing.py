@@ -4,7 +4,7 @@ the annuli that join them, checked to be one connected graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ScenarioError
 from .surfaces import UnionFind
@@ -52,14 +52,12 @@ class AnnulusGluing:
     """An annulus joining exactly two pieces.
 
     ``primitive_in`` names the piece in whose boundary the annulus is
-    primitive (met by an essential disk in one co-core arc), if any;
-    ``incompressible`` is declared metadata with no inferential power.
+    primitive (met by an essential disk in one co-core arc), if any.
     """
 
     id: str
     pieces: tuple
     primitive_in: str | None = None
-    incompressible: bool = False
 
     def __post_init__(self):
         if len(self.pieces) != 2 or self.pieces[0] == self.pieces[1]:
@@ -75,28 +73,33 @@ class AnnulusGluing:
 
 @dataclass(frozen=True)
 class GluingGraph:
+    """Pieces joined by annuli.  ``ends`` holds, for each gluing in order,
+    the positions in ``pieces`` of the two pieces it joins."""
+
     pieces: tuple
     gluings: tuple
+    ends: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [p.id for p in self.pieces]
-        if len(set(ids)) != len(ids):
+        index = {p.id: i for i, p in enumerate(self.pieces)}
+        if len(index) != len(self.pieces):
             raise ScenarioError("duplicate piece id")
         annuli = [g.id for g in self.gluings]
         if len(set(annuli)) != len(annuli):
             # A primitivity fact is keyed by annulus id, so a repeated id
             # would lend one annulus's fact to the other.
             raise ScenarioError("duplicate annulus id")
-        known = set(ids)
         for g in self.gluings:
             for pid in g.pieces:
-                if pid not in known:
+                if pid not in index:
                     raise ScenarioError(
                         "annulus {} references missing piece {!r}".format(
                             g.id, pid))
-        index = {pid: i for i, pid in enumerate(ids)}
-        uf = UnionFind(len(ids))
-        for g in self.gluings:
-            uf.union(index[g.pieces[0]], index[g.pieces[1]])
-        if len({uf.find(i) for i in range(len(ids))}) > 1:
+        ends = tuple((index[g.pieces[0]], index[g.pieces[1]])
+                     for g in self.gluings)
+        object.__setattr__(self, "ends", ends)
+        uf = UnionFind(len(index))
+        for a, b in ends:
+            uf.union(a, b)
+        if len({uf.find(i) for i in range(len(index))}) > 1:
             raise ScenarioError("gluing graph is disconnected")

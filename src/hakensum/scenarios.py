@@ -131,18 +131,16 @@ def doubled_handlebody_scenario(copies):
     """The doubled-handlebody family: genus 2n + 3 after n copies.
 
     ``copies`` must be even (and may be zero, recovering the genus-3
-    splitting surface itself); odd values are rejected, matching the
-    two-sided labelling that needs an even count, although the family is
-    expected to behave the same at odd parameters.  The resolved sum is
-    checked against the builtin file's expectations.
+    splitting surface itself): the builtin file declares its expectations
+    for even copy counts only, so an odd count would check nothing.  The
+    resolved sum is checked against those expectations.
     """
     if copies < 0:
         raise ScenarioError("copies must be nonnegative")
     if copies % 2 != 0:
         raise ScenarioError(
-            "copies must be even: the two-sided labelling of the "
-            "complement needs it (the restriction is notational; odd "
-            "counts are not modelled here)")
+            "copies must be even: the family's expectations are declared "
+            "only for even copy counts")
     scenario = schema.load_builtin("doubled-handlebody")
     report = Report(scenario=scenario.name)
     check_resolved(report, scenario,
@@ -161,20 +159,14 @@ class ProofStep:
 class HandlebodyProof:
     steps: tuple
     genus: int
-
-    @property
-    def succeeded(self):
-        return True
+    succeeded = True
 
 
 @dataclass(frozen=True)
 class ProofFailure:
     reason: str
     cluster_count: int
-
-    @property
-    def succeeded(self):
-        return False
+    succeeded = False
 
 
 def handlebody_certificate(graph):
@@ -208,9 +200,7 @@ def handlebody_certificate(graph):
     if not graph.pieces:
         raise ScenarioError("empty gluing graph")
 
-    pieces, gluings = graph.pieces, graph.gluings
-    index = {p.id: i for i, p in enumerate(pieces)}
-    ends = [(index[g.pieces[0]], index[g.pieces[1]]) for g in gluings]
+    pieces, gluings, ends = graph.pieces, graph.gluings, graph.ends
     incident = [[] for _ in pieces]
     for pos, (a, b) in enumerate(ends):
         incident[a].append(pos)
@@ -222,16 +212,14 @@ def handlebody_certificate(graph):
     steps = []
     for p in sorted(pieces, key=lambda p: p.id):
         if p.kind == "product":
-            steps.append(ProofStep(
-                rule="product-is-handlebody",
-                detail="product piece {} over a base of euler {} is a "
-                       "handlebody".format(p.id, p.base_euler),
-                genus=1 - p.base_euler))
+            detail = ("product piece {} over a base of euler {} is a "
+                      "handlebody".format(p.id, p.base_euler))
         elif p.kind == "solid_torus":
-            steps.append(ProofStep(
-                rule="product-is-handlebody",
-                detail="solid torus {} is a genus-1 handlebody".format(p.id),
-                genus=1))
+            detail = "solid torus {} is a genus-1 handlebody".format(p.id)
+        else:
+            continue
+        steps.append(ProofStep(rule="product-is-handlebody", detail=detail,
+                               genus=1 - p.euler))
 
     # Primitivity facts anchored to pieces: the annulus is primitive in
     # whatever cluster currently contains the anchor, one of its ends.

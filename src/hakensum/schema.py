@@ -100,11 +100,10 @@ def _objects(mapping, key, context):
     return _require_list(mapping, key, context, (dict,), "an object")
 
 
-def _flag(mapping, key, context, default=True):
-    """A boolean flag that is ``default`` (true) when absent; null is no
-    boolean."""
+def _flag(mapping, key, context):
+    """A boolean flag that is true when absent; null is no boolean."""
     if key not in mapping:
-        return default
+        return True
     return _require_typed(mapping, key, context, (bool,), "a boolean")
 
 
@@ -254,15 +253,15 @@ def _gluing_from_dict(d, context):
         pieces=tuple(_require_list(d, "pieces", context, (str,),
                                    "a piece id")),
         primitive_in=_require_typed(
-            d, "primitive_in", context, (str,), "a string or null", None),
-        incompressible=_flag(d, "incompressible", context, False))
+            d, "primitive_in", context, (str,), "a string or null", None))
 
 
 def gluing_graph_from_dict(d):
     """Build a GluingGraph from its scenario-file form.  A field of the
     wrong type raises ScenarioError: ids, kinds and the two piece ids of
-    an annulus are strings, ``genus`` and ``base_euler`` ints,
-    ``primitive_in`` a string or null and ``incompressible`` a boolean."""
+    an annulus are strings, ``genus`` and ``base_euler`` ints and
+    ``primitive_in`` a string or null.  Any other key, such as
+    ``incompressible``, is ignored."""
     ctx = "gluing_graph"
     _object(d, ctx)
     pieces = _require_list(d, "pieces", ctx, (dict,), "an object", ())

@@ -129,6 +129,30 @@ def test_huge_report_value_keeps_the_exit_contract(tmp_path):
         assert run.stderr.startswith("error: cannot print the report: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--scenario",
+     str(ROOT / "tests" / "golden" / "seeded_6538.json"),
+     "--n", "9" * 4300],
+    ["sweep", "--scenario", "doubled-handlebody",
+     "--from", "0", "--to", "9" * 4300],
+], ids=["resolve-cap-message", "sweep-cap-message"])
+def test_count_past_the_digit_limit_in_a_message_keeps_the_exit_contract(
+        argv):
+    # --n and --to parse at 4,300 digits, but the count that the cap
+    # message states has one digit more, so formatting it raises
+    # ValueError inside the subcommand, not while the report renders.
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no limit on integer digits")
+    run = subprocess.run(
+        [sys.executable, "-m", "hakensum.cli"] + argv,
+        cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, encoding="utf-8", timeout=120)
+    assert "Traceback" not in run.stderr
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr.startswith("error: cannot print the report: ")
+    assert run.stderr.count("\n") == 1
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="an annulus primitive in a genus-0 handlebody "
                    "is accepted, and the genus drops below 0")

@@ -71,7 +71,11 @@ class TestDoubledHandlebody:
         assert genus_check(report).actual == 11
 
     def test_odd_copies_rejected(self):
-        with pytest.raises(ScenarioError):
+        # The message states why the call is refused, and nothing about
+        # what the family does at an odd count.
+        with pytest.raises(ScenarioError, match=(
+                r"^copies must be even: the family's expectations are "
+                r"declared only for even copy counts$")):
             doubled_handlebody_scenario(3)
 
     def test_even_sweep(self):
@@ -124,8 +128,7 @@ def paper_style_graph(copies):
             GluedPiece(id="outer", kind="handlebody", genus=4),
         ),
         gluings=(
-            AnnulusGluing(id="upper", pieces=("inner", "collar"),
-                          incompressible=True),
+            AnnulusGluing(id="upper", pieces=("inner", "collar")),
             AnnulusGluing(id="lower", pieces=("collar", "outer"),
                           primitive_in="outer"),
         ))
@@ -181,8 +184,7 @@ class TestHandlebodyCertificate:
         graph = GluingGraph(
             pieces=(GluedPiece(id="a", kind="handlebody", genus=1),
                     GluedPiece(id="b", kind="handlebody", genus=1)),
-            gluings=(AnnulusGluing(id="e", pieces=("a", "b"),
-                                   incompressible=True),))
+            gluings=(AnnulusGluing(id="e", pieces=("a", "b")),))
         outcome = handlebody_certificate(graph)
         assert not outcome.succeeded
         assert outcome.cluster_count == 2
@@ -299,15 +301,17 @@ class TestGluingGraphFromDict:
     def test_plain_graph(self):
         graph = gluing_graph_from_dict(graph_dict())
         assert graph.gluings[0] == AnnulusGluing(
-            id="e", pieces=("a", "b"), primitive_in="a",
-            incompressible=False)
+            id="e", pieces=("a", "b"), primitive_in="a")
+        assert graph.ends == ((0, 1),)
         assert handlebody_certificate(graph).genus == 2
 
     def test_null_primitive_in_and_boolean_flag(self):
+        # incompressible is accepted and ignored: it states no proof.
         graph = gluing_graph_from_dict(graph_dict(
             gluing={"primitive_in": None, "incompressible": True}))
         assert graph.gluings[0].primitive_in is None
-        assert graph.gluings[0].incompressible is True
+        assert graph == gluing_graph_from_dict(graph_dict(
+            gluing={"primitive_in": None}))
 
     @pytest.mark.parametrize("piece, gluing", [
         ({"base_euler": "x"}, None),
@@ -317,9 +321,6 @@ class TestGluingGraphFromDict:
         ({"kind": "handlebody", "genus": "2"}, None),
         ({"kind": 3}, None),
         ({"id": 7}, None),
-        (None, {"incompressible": "no"}),
-        (None, {"incompressible": None}),
-        (None, {"incompressible": 1}),
         (None, {"primitive_in": 3}),
         (None, {"primitive_in": ["a"]}),
         (None, {"pieces": ["a"]}),

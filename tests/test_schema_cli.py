@@ -741,11 +741,15 @@ SCENARIOS = (sorted(schema.BUILTIN_SCENARIOS)
 
 @st.composite
 def cli_argv(draw):
-    """A subcommand (or an unknown one) with any mix of the CLI's flags."""
+    """A subcommand (or an unknown one) with any mix of the CLI's flags.
+    A count is small, or has 4,300 digits (the most the interpreter's
+    default limit parses) or 4,301."""
     groups = [["--scenario", draw(st.sampled_from(SCENARIOS))]]
     for flag in draw(st.lists(st.sampled_from(("--n", "--level", "--from",
                                                "--to")), unique=True)):
-        groups.append([flag, str(draw(st.integers(-5, 60)))])
+        groups.append([flag, draw(st.one_of(
+            st.integers(-5, 60).map(str),
+            st.sampled_from(("9" * 4300, "1" + "0" * 4300))))])
     if draw(st.booleans()):
         groups.append(["--strict"])
     if draw(st.booleans()):
