@@ -313,6 +313,15 @@ class TestGluingGraphFromDict:
         assert graph == gluing_graph_from_dict(graph_dict(
             gluing={"primitive_in": None}))
 
+    @pytest.mark.parametrize("value", ["no", None, 1])
+    def test_incompressible_of_any_type_ignored(self, value):
+        # Values once rejected as a non-boolean flag are now read past,
+        # like any other unread key.
+        graph = gluing_graph_from_dict(graph_dict(
+            gluing={"incompressible": value}))
+        assert graph == gluing_graph_from_dict(graph_dict())
+        assert not hasattr(graph.gluings[0], "incompressible")
+
     @pytest.mark.parametrize("piece, gluing", [
         ({"base_euler": "x"}, None),
         ({"base_euler": True}, None),
