@@ -208,43 +208,61 @@ class TestExitCodes:
 
 
 CERTIFY = ["certify", "--n", "10", "--level", "5"]
+# (builtin, path to the field, the context its message names, argv).
 NUMERIC_FIELDS = [
     ("doubled_handlebody", ("patch_complex", "f_patches", 0, "euler"),
-     ["resolve", "--n", "2"]),
+     "patch_complex", ["resolve", "--n", "2"]),
     ("doubled_handlebody", ("patch_complex", "f_descriptor", "euler"),
-     ["resolve", "--n", "2"]),
+     "patch_complex.f_descriptor", ["resolve", "--n", "2"]),
     ("doubled_handlebody",
      ("patch_complex", "f_descriptor", "boundary_components"),
-     ["resolve", "--n", "2"]),
-    ("doubled_handlebody", ("disk_pattern", "copies"), ["trace"]),
-    ("doubled_handlebody", ("disk_pattern", "inner_closed"), ["trace"]),
-    ("doubled_handlebody", ("disk_pattern", "crossing_components"),
+     "patch_complex.f_descriptor", ["resolve", "--n", "2"]),
+    ("doubled_handlebody", ("disk_pattern", "copies"), "disk_pattern",
      ["trace"]),
-    ("trivial_removal_demo", ("inventory", "copies"), ["reduce"]),
-    ("doubled_handlebody", ("sides", "euler", "splitting"), CERTIFY),
-    ("doubled_handlebody", ("sides", "euler", "summand"), CERTIFY),
-    ("doubled_handlebody", ("sides", "euler", "prime_side"), CERTIFY),
-    ("doubled_handlebody", ("sides", "euler", "dblprime_side"), CERTIFY),
-    ("doubled_handlebody", ("sides", "boundary_count"), ["shifts"]),
+    ("doubled_handlebody", ("disk_pattern", "inner_closed"), "disk_pattern",
+     ["trace"]),
+    ("doubled_handlebody", ("disk_pattern", "crossing_components"),
+     "disk_pattern", ["trace"]),
+    ("trivial_removal_demo", ("inventory", "copies"), "inventory",
+     ["reduce"]),
+    ("doubled_handlebody", ("sides", "euler", "splitting"), "sides.euler",
+     CERTIFY),
+    ("doubled_handlebody", ("sides", "euler", "summand"), "sides.euler",
+     CERTIFY),
+    ("doubled_handlebody", ("sides", "euler", "prime_side"), "sides.euler",
+     CERTIFY),
+    ("doubled_handlebody", ("sides", "euler", "dblprime_side"),
+     "sides.euler", CERTIFY),
+    ("doubled_handlebody", ("sides", "boundary_count"), "sides",
+     ["shifts"]),
 ]
+
+
+def _run_fault(tmp_path, builtin, path, bad, argv):
+    """(exit code, stdout, stderr) of ``argv`` on a builtin whose field at
+    ``path`` is set to ``bad``, or deleted if ``bad`` is ``MISSING``."""
+    raw = builtin_data(builtin)
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    if bad is MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = bad
+    scenario = write_scenario(tmp_path, raw)
+    return _run_captured([argv[0], "--scenario", scenario, *argv[1:]])
 
 
 class TestNumericFields:
     @pytest.mark.parametrize("bad", ["x", True, 2.5])
     @pytest.mark.parametrize(
-        "builtin,path,argv", NUMERIC_FIELDS,
-        ids=[".".join(map(str, path)) for _, path, _ in NUMERIC_FIELDS])
-    def test_non_integer_is_input_error(self, tmp_path, capsys, builtin,
-                                        path, argv, bad):
-        raw = builtin_data(builtin)
-        target = raw
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = bad
-        scenario = write_scenario(tmp_path, raw)
-        code, _ = run_cli(argv[0], "--scenario", scenario, *argv[1:])
-        assert code == EXIT_INPUT
-        assert "must be an integer" in capsys.readouterr().err
+        "builtin,path,context,argv", NUMERIC_FIELDS,
+        ids=[".".join(map(str, path)) for _, path, _, _ in NUMERIC_FIELDS])
+    def test_non_integer_is_input_error(self, tmp_path, builtin, path,
+                                        context, argv, bad):
+        assert _run_fault(tmp_path, builtin, path, bad, argv) == (
+            EXIT_INPUT, "", "error: {}: field {!r} must be an integer, got "
+            "{!r}\n".format(context, path[-1], bad))
 
 
 class _Missing:
@@ -257,78 +275,118 @@ class _Missing:
 MISSING = _Missing()
 RESOLVE = ["resolve", "--n", "2"]
 SWEEP = ["sweep", "--from", "1", "--to", "4"]
+PARITY = "error: parity must be '+', '-' or None\n"
+# (builtin, path to the field, its wrong value, argv, the whole stderr).
 TYPE_FAULTS = [
-    ("doubled_handlebody", ("patch_complex",), 5, RESOLVE),
-    ("doubled_handlebody", ("patch_complex", "f_patches"), [5], RESOLVE),
-    ("doubled_handlebody", ("patch_complex", "seams"), [5], RESOLVE),
+    ("doubled_handlebody", ("patch_complex",), 5, RESOLVE,
+     "error: patch_complex must be an object, got 5\n"),
+    ("doubled_handlebody", ("patch_complex", "f_patches"), [5], RESOLVE,
+     "error: patch_complex: every entry of 'f_patches' must be an object, "
+     "got 5\n"),
+    ("doubled_handlebody", ("patch_complex", "seams"), [5], RESOLVE,
+     "error: patch_complex: every entry of 'seams' must be an object, "
+     "got 5\n"),
     ("doubled_handlebody", ("patch_complex", "g_patches", 0, "id"), 3,
-     RESOLVE),
+     RESOLVE, "error: patch_complex: field 'id' must be a string, got 3\n"),
     ("doubled_handlebody", ("patch_complex", "f_patches", 0, "seams"), 5,
-     RESOLVE),
+     RESOLVE, "error: patch_complex: field 'seams' must be a list, got 5\n"),
+    ("doubled_handlebody", ("patch_complex", "f_patches", 1, "seams", 1), 5,
+     RESOLVE, "error: patch_complex: every entry of 'seams' must be a seam "
+     "id, got 5\n"),
     ("doubled_handlebody", ("patch_complex", "f_patches", 0, "oriented"),
-     "yes", RESOLVE),
-    ("doubled_handlebody", ("patch_complex", "seams", 0, "id"), 3, RESOLVE),
+     "yes", RESOLVE, "error: patch_complex: field 'oriented' must be a "
+     "boolean or null, got 'yes'\n"),
+    ("doubled_handlebody", ("patch_complex", "seams", 0, "id"), 3, RESOLVE,
+     "error: patch_complex.seam: field 'id' must be a string, got 3\n"),
     ("doubled_handlebody", ("patch_complex", "seams", 0, "quadrants"), 5,
-     RESOLVE),
+     RESOLVE, "error: patch_complex: field 'quadrants' must be a list, "
+     "got 5\n"),
+    ("doubled_handlebody", ("patch_complex", "seams", 0, "quadrants", 2), 5,
+     RESOLVE, "error: patch_complex: every entry of 'quadrants' must be a "
+     "patch id, got 5\n"),
     ("doubled_handlebody", ("patch_complex", "seams", 0, "level_shift"),
-     True, RESOLVE),
+     True, RESOLVE, "error: patch_complex: field 'level_shift' must be an "
+     "integer, got True\n"),
     ("doubled_handlebody", ("patch_complex", "seams", 0, "level_shift"),
-     1.0, RESOLVE),
-    ("doubled_handlebody", ("disk_pattern", "word"), 7, ["trace"]),
-    ("doubled_handlebody", ("sides", "prime", "betas"), [5], ["shifts"]),
+     1.0, RESOLVE, "error: patch_complex: field 'level_shift' must be an "
+     "integer, got 1.0\n"),
+    ("doubled_handlebody", ("disk_pattern", "word"), 7, ["trace"],
+     "error: disk_pattern: field 'word' must be a string, got 7\n"),
+    ("doubled_handlebody", ("sides", "prime", "betas"), [5], ["shifts"],
+     "error: sides.prime: every entry of 'betas' must be an object, "
+     "got 5\n"),
     ("doubled_handlebody", ("sides", "prime", "betas", 0, "crossings"), 5,
-     ["shifts"]),
-    ("trivial_removal_demo", ("inventory", "curves"), [5], ["reduce"]),
+     ["shifts"], "error: sides.prime: field 'crossings' must be a list, "
+     "got 5\n"),
+    *[("doubled_handlebody", ("sides", "prime", "betas", 0, "crossings", 1),
+       bad, ["shifts"], "error: sides.prime: every entry of 'crossings' "
+       "must be +1 or -1, got {!r}\n".format(bad))
+      for bad in (True, 1.0, [1])],
+    ("doubled_handlebody", ("sides", "prime", "betas", 0, "crossings", 1), 2,
+     ["shifts"], "error: crossing entries must be +1 or -1, got 2\n"),
+    ("trivial_removal_demo", ("inventory", "curves"), [5], ["reduce"],
+     "error: inventory: every entry of 'curves' must be an object, got 5\n"),
     ("trivial_removal_demo", ("inventory", "curves", 0, "id"), 5,
-     ["reduce"]),
+     ["reduce"], "error: inventory: field 'id' must be a string, got 5\n"),
     ("trivial_removal_demo",
-     ("inventory", "curves", 1, "essential_on_k"), "false", ["reduce"]),
+     ("inventory", "curves", 1, "essential_on_k"), "false", ["reduce"],
+     "error: inventory: field 'essential_on_k' must be a boolean, got "
+     "'false'\n"),
     *[("solid_torus_reduced", ("inventory", "curves", 1, "parity"), bad,
-       ["reduce"]) for bad in ("x", ["+"], {"a": 1}, 1, None)],
+       ["reduce"], PARITY) for bad in ("x", ["+"], {"a": 1}, 1)],
+    ("solid_torus_reduced", ("inventory", "curves", 1, "parity"), None,
+     ["reduce"], "error: parity must be present on every curve or on "
+     "none\n"),
     ("doubled_handlebody",
-     ("patch_complex", "f_descriptor", "orientable"), "no", RESOLVE),
+     ("patch_complex", "f_descriptor", "orientable"), "no", RESOLVE,
+     "error: patch_complex.f_descriptor: field 'orientable' must be a "
+     "boolean, got 'no'\n"),
     ("doubled_handlebody",
-     ("patch_complex", "g_descriptor", "orientable"), None, RESOLVE),
-    ("solid_torus_reduced", ("name",), 5, SWEEP),
+     ("patch_complex", "g_descriptor", "orientable"), None, RESOLVE,
+     "error: patch_complex.g_descriptor: field 'orientable' must be a "
+     "boolean, got None\n"),
+    ("solid_torus_reduced", ("name",), 5, SWEEP,
+     "error: scenario: field 'name' must be a string, got 5\n"),
     ("solid_torus_reduced", ("expectations", "residue_classes", "value"),
-     3.0, SWEEP),
+     3.0, SWEEP, "error: expectations.residue_classes: field 'value' must "
+     "be an integer, got 3.0\n"),
     ("doubled_handlebody", ("expectations", "genus", "per_copy"), "2",
-     RESOLVE),
+     RESOLVE, "error: expectations.genus: field 'per_copy' must be an "
+     "integer, got '2'\n"),
     ("doubled_handlebody", ("expectations", "genus", "base"), MISSING,
-     RESOLVE),
+     RESOLVE, "error: expectations.genus: missing field 'base'\n"),
     ("doubled_handlebody", ("expectations", "connected", "value"), 1,
-     RESOLVE),
+     RESOLVE, "error: expectations.connected: field 'value' must be a "
+     "boolean, got 1\n"),
     ("doubled_handlebody", ("expectations", "copy_parity", "value"),
-     ["even"], RESOLVE),
+     ["even"], RESOLVE, "error: expectations.copy_parity: field 'value' "
+     "must be a string, got ['even']\n"),
     ("doubled_handlebody", ("expectations", "copy_parity", "value"),
-     "evn", ["resolve", "--n", "5"]),
+     "evn", ["resolve", "--n", "5"], "error: expectation 'copy_parity' "
+     "takes only 'even', got 'evn'\n"),
     ("doubled_handlebody", ("gluing_graph", "pieces", 0, "kind"), "blah",
-     ["trace"]),
+     ["trace"], "error: unknown piece kind 'blah'\n"),
     ("doubled_handlebody", ("gluing_graph", "pieces", 1, "base_euler"),
-     "x", RESOLVE),
+     "x", RESOLVE, "error: gluing_graph.piece: field 'base_euler' must be "
+     "an integer, got 'x'\n"),
+    ("doubled_handlebody", ("gluing_graph", "gluings", 0, "pieces", 1), 5,
+     ["trace"], "error: gluing_graph.gluing: every entry of 'pieces' must "
+     "be a piece id, got 5\n"),
+    ("doubled_handlebody", ("gluing_graph", "gluings", 1, "primitive_in"),
+     5, ["trace"], "error: gluing_graph.gluing: field 'primitive_in' must "
+     "be a string or null, got 5\n"),
 ]
 
 
 class TestTypeFaults:
     @pytest.mark.parametrize(
-        "builtin,path,bad,argv", TYPE_FAULTS,
+        "builtin,path,bad,argv,message", TYPE_FAULTS,
         ids=["{}={!r}".format(".".join(map(str, path)), bad)
-             for _, path, bad, _ in TYPE_FAULTS])
-    def test_wrong_type_is_input_error(self, tmp_path, capsys, builtin,
-                                       path, bad, argv):
-        raw = builtin_data(builtin)
-        target = raw
-        for key in path[:-1]:
-            target = target[key]
-        if bad is MISSING:
-            del target[path[-1]]
-        else:
-            target[path[-1]] = bad
-        scenario = write_scenario(tmp_path, raw)
-        code, _ = run_cli(argv[0], "--scenario", scenario, *argv[1:])
-        err = capsys.readouterr().err
-        assert code == EXIT_INPUT
-        assert err.startswith("error: ") and "Traceback" not in err
+             for _, path, bad, _, _ in TYPE_FAULTS])
+    def test_wrong_type_is_input_error(self, tmp_path, builtin, path, bad,
+                                       argv, message):
+        assert _run_fault(tmp_path, builtin, path, bad, argv) == (
+            EXIT_INPUT, "", message)
 
 
 @pytest.mark.parametrize("bad", [False, 0, "", [], {}])
