@@ -287,6 +287,7 @@ def build_parser():
                      description="resolve, trace and certify iterated "
                                  "surface sums from scenario files")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
     for name, (_, help_line, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         p.add_argument("--scenario", required=True,
@@ -306,7 +307,14 @@ def main(argv=None):
     interpreter's digit limit, in the report or in a message that states
     a count) writes nothing and exits 3."""
     try:
-        args = build_parser().parse_args(argv)
+        # The subcommand is always the first word and the top level has no
+        # option but -h, so a named subcommand's own parser reads the rest;
+        # any other argv goes to the full parser, for its messages.
+        argv = sys.argv[1:] if argv is None else argv
+        parser = build_parser()
+        sub = parser.subcommands.get(argv[0]) if argv else None
+        args = (sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+                if sub else parser.parse_args(argv))
         scenario = _load(args.scenario)
         report = Report(command=args.command, scenario=scenario.name)
         SUBCOMMANDS[args.command][0](scenario, args, report)

@@ -28,13 +28,43 @@ KNOWN_SECTIONS = {
     "version", "name", "description", "patch_complex", "disk_pattern",
     "sides", "inventory", "gluing_graph", "expectations",
 }
-_INT = ((int,), "an integer")
+
+
+class _Required:
+    """The default of a field that must be present.  No kind lists this
+    type, so an absent required field always reaches the message code."""
+
+
+_REQUIRED = _Required()
+# A field's kind: the exact types its value may take and the label its
+# message names, then for a list the exact types and label of its
+# entries.  JSON true is no number, so only a kind listing bool takes it.
+_INT = ((int,), "an integer", None, None)
+_STR = ((str,), "a string", None, None)
+_BOOL = ((bool,), "a boolean", None, None)
+_LIST = ((list,), "a list", None, None)
+_OBJECTS = ((list,), "a list", frozenset({dict}), "an object")
+# Any value: a string directly, anything else through isinstance(object).
+_ANY = ((str, bool, object), None, None, None)
+
+
+def _ids(label):
+    return ((list,), "a list", frozenset({str}), label)
+
+
+def _table(*fields):
+    """A field table from (key, kind) for a required field and (key, kind,
+    default) for an optional one, in the order the fields are checked."""
+    return tuple((key, *kind, default[0] if default else _REQUIRED)
+                 for key, kind, *default in fields)
+
+
 # Each expectation's typed fields, besides its provenance tag.
 KNOWN_EXPECTATIONS = {
-    "genus": {"base": _INT, "per_copy": _INT},
-    "connected": {"value": ((bool,), "a boolean")},
-    "copy_parity": {"value": ((str,), "a string")},
-    "residue_classes": {"value": _INT},
+    "genus": _table(("base", _INT), ("per_copy", _INT)),
+    "connected": _table(("value", _BOOL)),
+    "copy_parity": _table(("value", _STR)),
+    "residue_classes": _table(("value", _INT)),
 }
 PROVENANCE_TAGS = ("reference", "derived")
 
@@ -45,48 +75,46 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
-_REQUIRED = object()
-
-
 def _is(value, types):
-    """isinstance, except that bools pass only when ``bool`` is listed:
-    JSON true is no number."""
+    """isinstance, except that bools pass only when ``bool`` is listed."""
     return isinstance(value, types) and (bool in types
                                          or not isinstance(value, bool))
 
 
-def _require_typed(mapping, key, context, types, label,
-                   default=_REQUIRED):
-    """A field holding one of ``types``; an optional field that is absent
-    or null gives ``default``."""
-    if default is not _REQUIRED and mapping.get(key) is None:
-        return default
-    value = _require(mapping, key, context)
-    if not _is(value, types):
-        raise ScenarioError("{}: field {!r} must be {}, got {!r}".format(
-            context, key, label, value))
-    return value
-
-
-def _require_int(mapping, key, context, default=_REQUIRED):
-    return _require_typed(mapping, key, context, (int,), "an integer",
-                          default)
-
-
-def _require_str(mapping, key, context):
-    return _require_typed(mapping, key, context, (str,), "a string")
-
-
-def _require_list(mapping, key, context, entry_types, label,
-                  default=_REQUIRED):
-    """A list field whose entries are all of ``entry_types``."""
-    values = _require_typed(mapping, key, context, (list,), "a list",
-                            default)
-    for value in values or ():
-        if not _is(value, entry_types):
-            raise ScenarioError("{}: every entry of {!r} must be {}, got "
-                                "{!r}".format(context, key, label, value))
+def _fields(d, context, table):
+    """The fields of the object ``d`` that ``table`` lists, by key, checked
+    in the table's order; a list comes back as a tuple.  A value whose
+    exact type its kind lists is taken as it is, and so is a list whose
+    entries' set of exact types is.  Anything else is judged here: an
+    optional field that is absent, or null and not a boolean, gives its
+    default, a subclass of a listed type passes, and the rest raises."""
+    values = {}
+    for key, types, label, entries, entry_label, default in table:
+        value = d.get(key, default)
+        if type(value) not in types:
+            if value is _REQUIRED:
+                raise ScenarioError("{}: missing field {!r}".format(
+                    context, key))
+            if value is default or (value is None and bool not in types
+                                    and default is not _REQUIRED):
+                value = default
+            elif not _is(value, types):
+                raise ScenarioError("{}: field {!r} must be {}, got "
+                                    "{!r}".format(context, key, label, value))
+        if entries and value is not None:
+            if not set(map(type, value)) <= entries:
+                for entry in value:
+                    if not _is(entry, tuple(entries)):
+                        raise ScenarioError(
+                            "{}: every entry of {!r} must be {}, got "
+                            "{!r}".format(context, key, entry_label, entry))
+            value = tuple(value)
+        values[key] = value
     return values
+
+
+def _field(mapping, key, context, kind, default=_REQUIRED):
+    return _fields(mapping, context, ((key, *kind, default),))[key]
 
 
 def _object(value, context):
@@ -97,65 +125,62 @@ def _object(value, context):
 
 
 def _objects(mapping, key, context):
-    return _require_list(mapping, key, context, (dict,), "an object")
+    return _field(mapping, key, context, _OBJECTS)
 
 
-def _flag(mapping, key, context):
-    """A boolean flag that is true when absent; null is no boolean."""
-    if key not in mapping:
-        return True
-    return _require_typed(mapping, key, context, (bool,), "a boolean")
+_DESCRIPTOR = _table(("euler", _INT), ("orientable", _BOOL, True),
+                     ("boundary_components", _INT, 0))
+# An absent ``oriented`` means oriented; null means unknown.
+_PATCH = _table(("seams", _ids("a seam id"), None),
+                ("oriented", ((bool, type(None)), "a boolean or null",
+                              None, None), True),
+                ("id", _STR), ("euler", _INT))
+# A seam's id is read in a context of its own.
+_SEAM_ID = _table(("id", _STR))
+_SEAM = _table(("quadrants", _ids("a patch id")), ("epsilon", _ANY),
+               ("level_shift", _INT, 1))
+_DISK_PATTERN = _table(("word", _STR), ("copies", _INT),
+                       ("inner_closed", _INT, 0),
+                       ("crossing_components", _INT, None))
+_EULERS = _table(("splitting", _INT), ("summand", _INT),
+                 ("prime_side", _INT), ("dblprime_side", _INT))
+_BETA = _table(("index", _INT),
+               ("crossings", ((list,), "a list", frozenset({int}),
+                               "+1 or -1")))
+_GRAPH = _table(("pieces", _OBJECTS, ()), ("gluings", _OBJECTS, ()))
+_PIECE = _table(("id", _STR), ("kind", _STR), ("genus", _INT, None),
+                ("base_euler", _INT, None))
+_GLUING = _table(("id", _STR), ("pieces", _ids("a piece id")),
+                 ("primitive_in", ((str,), "a string or null", None, None),
+                  None))
+_HEADER = _table(("name", _STR, "unnamed"), ("description", _LIST, ()))
 
 
 def descriptor_from_dict(d, context="descriptor"):
-    _object(d, context)
-    return SurfaceDescriptor(
-        euler=_require_int(d, "euler", context),
-        orientable=_flag(d, "orientable", context),
-        boundary_components=_require_int(d, "boundary_components", context,
-                                         0))
-
-
-def _patch_from_dict(d, context):
-    seams = _require_list(d, "seams", context, (str,), "a seam id", None)
-    # An absent flag means oriented; null means unknown.
-    oriented = (_require_typed(d, "oriented", context, (bool, type(None)),
-                               "a boolean or null")
-                if "oriented" in d else True)
-    return Patch(id=_require_str(d, "id", context),
-                 euler=_require_int(d, "euler", context),
-                 seams=tuple(seams) if seams is not None else None,
-                 oriented=oriented)
+    return SurfaceDescriptor(**_fields(_object(d, context), context,
+                                       _DESCRIPTOR))
 
 
 def patch_complex_from_dict(d):
     ctx = "patch_complex"
-    seams = [SeamCurve(id=_require_str(s, "id", ctx + ".seam"),
-                       quadrants=tuple(_require_list(
-                           s, "quadrants", ctx, (str,), "a patch id")),
-                       epsilon=_require(s, "epsilon", ctx),
-                       level_shift=_require_int(s, "level_shift", ctx, 1))
+    seams = [SeamCurve(**_fields(s, ctx + ".seam", _SEAM_ID),
+                       **_fields(s, ctx, _SEAM))
              for s in _objects(d, "seams", ctx)]
     # Only an absent or null descriptor is no descriptor.
     f_desc, g_desc = (None if d.get(key) is None
                       else descriptor_from_dict(d[key], ctx + "." + key)
                       for key in ("f_descriptor", "g_descriptor"))
     return PatchComplex(
-        f_patches=[_patch_from_dict(p, ctx) for p in
-                   _objects(d, "f_patches", ctx)],
-        g_patches=[_patch_from_dict(p, ctx) for p in
-                   _objects(d, "g_patches", ctx)],
+        f_patches=[Patch(**_fields(p, ctx, _PATCH))
+                   for p in _objects(d, "f_patches", ctx)],
+        g_patches=[Patch(**_fields(p, ctx, _PATCH))
+                   for p in _objects(d, "g_patches", ctx)],
         seams=seams,
         f_descriptor=f_desc, g_descriptor=g_desc)
 
 
 def disk_pattern_from_dict(d):
-    ctx = "disk_pattern"
-    return DiskPattern(word=_require_str(d, "word", ctx),
-                       copies=_require_int(d, "copies", ctx),
-                       inner_closed=_require_int(d, "inner_closed", ctx, 0),
-                       crossing_components=_require_int(
-                           d, "crossing_components", ctx, None))
+    return DiskPattern(**_fields(d, "disk_pattern", _DISK_PATTERN))
 
 
 @dataclass(frozen=True)
@@ -168,51 +193,39 @@ class SidesSection:
 
 def _side_from_dict(d, label):
     ctx = "sides." + label
-    _object(d, ctx)
-    return SideSystem(
-        side=label,
-        betas=tuple(BetaArc(side=label,
-                            index=_require_int(b, "index", ctx),
-                            crossings=tuple(_require_list(
-                                b, "crossings", ctx, (int,), "+1 or -1")))
-                    for b in _objects(d, "betas", ctx)))
+    return SideSystem(side=label, betas=tuple(
+        BetaArc(side=label, **_fields(b, ctx, _BETA))
+        for b in _objects(_object(d, ctx), "betas", ctx)))
 
 
 def sides_from_dict(d):
     eulers = None
     if "euler" in d:
-        e = _object(d["euler"], "sides.euler")
-        eulers = SumEulers(
-            splitting=_require_int(e, "splitting", "sides.euler"),
-            summand=_require_int(e, "summand", "sides.euler"),
-            prime_side=_require_int(e, "prime_side", "sides.euler"),
-            dblprime_side=_require_int(e, "dblprime_side", "sides.euler"))
+        eulers = SumEulers(**_fields(_object(d["euler"], "sides.euler"),
+                                     "sides.euler", _EULERS))
     return SidesSection(
         prime=_side_from_dict(_require(d, "prime", "sides"), "prime"),
         dblprime=_side_from_dict(_require(d, "dblprime", "sides"),
                                  "dblprime"),
         eulers=eulers,
-        boundary_count=_require_int(d, "boundary_count", "sides", None))
+        boundary_count=_field(d, "boundary_count", "sides", _INT, None))
 
 
 def inventory_from_dict(d):
-    # Inventories run to thousands of curves, so each field is read once
-    # and the checking helpers run only on a value of another type, to
-    # raise their error or to accept a subclass.
-    entries = _require_typed(d, "curves", "inventory", (list,), "a list")
-    if not set(map(type, entries)) <= {dict}:
-        _objects(d, "curves", "inventory")
+    # Inventories run to thousands of curves, so a curve's fields are read
+    # inline and ``_field`` runs only on a value of another type, to raise
+    # its message or to accept a subclass.
     curves = []
-    for c in entries:
+    for c in _objects(d, "curves", "inventory"):
         cid = c.get("id")
         if type(cid) is not str:
-            cid = _require_str(c, "id", "inventory")
+            cid = _field(c, "id", "inventory", _STR)
         essential = c.get("essential_on_k", True)
         if type(essential) is not bool:
-            essential = _flag(c, "essential_on_k", "inventory")
+            essential = _field(c, "essential_on_k", "inventory", _BOOL, True)
         curves.append(Curve(cid, essential, c.get("parity")))
     return IntersectionInventory(
-        curves=tuple(curves), copies=_require_int(d, "copies", "inventory"))
+        curves=tuple(curves), copies=_field(d, "copies", "inventory", _INT))
 
 
 def expectations_from_dict(d):
@@ -227,9 +240,7 @@ def expectations_from_dict(d):
             raise ScenarioError(
                 "expectation {!r} needs a provenance tag 'source' in "
                 "{}".format(key, PROVENANCE_TAGS))
-        for field, (types, label) in KNOWN_EXPECTATIONS[key].items():
-            _require_typed(entry, field, "expectations." + key, types,
-                           label)
+        _fields(entry, "expectations." + key, KNOWN_EXPECTATIONS[key])
         # The one parity that resolve reads; any other would load and
         # silently turn the skip off.
         if key == "copy_parity" and entry["value"] != "even":
@@ -239,23 +250,6 @@ def expectations_from_dict(d):
     return dict(d)
 
 
-def _piece_from_dict(d, context):
-    return GluedPiece(
-        id=_require_str(d, "id", context),
-        kind=_require_str(d, "kind", context),
-        genus=_require_int(d, "genus", context, None),
-        base_euler=_require_int(d, "base_euler", context, None))
-
-
-def _gluing_from_dict(d, context):
-    return AnnulusGluing(
-        id=_require_str(d, "id", context),
-        pieces=tuple(_require_list(d, "pieces", context, (str,),
-                                   "a piece id")),
-        primitive_in=_require_typed(
-            d, "primitive_in", context, (str,), "a string or null", None))
-
-
 def gluing_graph_from_dict(d):
     """Build a GluingGraph from its scenario-file form.  A field of the
     wrong type raises ScenarioError: ids, kinds and the two piece ids of
@@ -263,13 +257,12 @@ def gluing_graph_from_dict(d):
     ``primitive_in`` a string or null.  Any other key, such as
     ``incompressible``, is ignored."""
     ctx = "gluing_graph"
-    _object(d, ctx)
-    pieces = _require_list(d, "pieces", ctx, (dict,), "an object", ())
-    gluings = _require_list(d, "gluings", ctx, (dict,), "an object", ())
+    lists = _fields(_object(d, ctx), ctx, _GRAPH)
     return GluingGraph(
-        pieces=tuple(_piece_from_dict(p, ctx + ".piece") for p in pieces),
-        gluings=tuple(_gluing_from_dict(g, ctx + ".gluing")
-                      for g in gluings))
+        pieces=tuple(GluedPiece(**_fields(p, ctx + ".piece", _PIECE))
+                     for p in lists["pieces"]),
+        gluings=tuple(AnnulusGluing(**_fields(g, ctx + ".gluing", _GLUING))
+                      for g in lists["gluings"]))
 
 
 @dataclass(frozen=True)
@@ -307,11 +300,9 @@ def scenario_from_dict(d):
     def section(key, parse):
         return parse(_object(d[key], key)) if key in d else None
 
+    header = _fields(d, "scenario", _HEADER)
     return ScenarioFile(
-        name=_require_typed(d, "name", "scenario", (str,), "a string",
-                            "unnamed"),
-        description=tuple(_require_typed(d, "description", "scenario",
-                                         (list,), "a list", ())),
+        name=header["name"], description=tuple(header["description"]),
         patch_complex=section("patch_complex", patch_complex_from_dict),
         disk_pattern=section("disk_pattern", disk_pattern_from_dict),
         sides=section("sides", sides_from_dict),
@@ -344,12 +335,12 @@ BUILTIN_SCENARIOS = {
     "solid-torus-reduced": "solid_torus_reduced.json",
     "trivial-removal-demo": "trivial_removal_demo.json",
 }
+_DATA = resources.files("hakensum") / "data"
 
 
 def load_builtin(name):
     """Load one of the scenarios shipped with the package."""
     if name not in BUILTIN_SCENARIOS:
         raise ScenarioError("unknown builtin scenario {!r}".format(name))
-    text = (resources.files("hakensum") / "data"
-            / BUILTIN_SCENARIOS[name]).read_text(encoding="utf-8")
+    text = (_DATA / BUILTIN_SCENARIOS[name]).read_text(encoding="utf-8")
     return scenario_from_dict(json.loads(text))

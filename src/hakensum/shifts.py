@@ -38,10 +38,13 @@ class BetaArc:
     def __post_init__(self):
         if self.side not in ("prime", "dblprime"):
             raise DomainError("side must be 'prime' or 'dblprime'")
-        for c in self.crossings:
-            if c not in (-1, 1):
-                raise DomainError(
-                    "crossing entries must be +1 or -1, got {!r}".format(c))
+        # Counting compares by equality and never hashes, so an entry of
+        # any type is judged, not raised on.
+        crossings = self.crossings
+        if crossings.count(1) + crossings.count(-1) != len(crossings):
+            bad = next(c for c in crossings if c not in (-1, 1))
+            raise DomainError(
+                "crossing entries must be +1 or -1, got {!r}".format(bad))
 
     def reversed(self):
         """The same arc with the opposite orientation.
