@@ -300,6 +300,17 @@ def build_parser():
     return parser
 
 
+def _parse(argv):
+    """The subcommand is always the first word and the top level has no
+    option but -h, so a named subcommand's own parser reads the rest; any
+    other argv goes to the full parser, for its messages."""
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def main(argv=None):
     """Run one subcommand and return its exit code; no other function
     maps an outcome to one.  The report is rendered whole before any of it
@@ -307,14 +318,7 @@ def main(argv=None):
     interpreter's digit limit, in the report or in a message that states
     a count) writes nothing and exits 3."""
     try:
-        # The subcommand is always the first word and the top level has no
-        # option but -h, so a named subcommand's own parser reads the rest;
-        # any other argv goes to the full parser, for its messages.
-        argv = sys.argv[1:] if argv is None else argv
-        parser = build_parser()
-        sub = parser.subcommands.get(argv[0]) if argv else None
-        args = (sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-                if sub else parser.parse_args(argv))
+        args = _parse(sys.argv[1:] if argv is None else argv)
         scenario = _load(args.scenario)
         report = Report(command=args.command, scenario=scenario.name)
         SUBCOMMANDS[args.command][0](scenario, args, report)

@@ -6,6 +6,7 @@ be removed with the fix; the test stays as the fault's regression test.
 """
 
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -19,6 +20,8 @@ from hakensum import (AnnulusGluing, BetaArc, GluedPiece, GluingGraph,
                       handlebody_certificate, lift_beta)
 
 ROOT = Path(__file__).resolve().parent.parent
+# The caller's environment, so PYTHONDONTWRITEBYTECODE reaches the child.
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -56,7 +59,7 @@ def test_huge_copy_count_keeps_the_exit_contract():
         [sys.executable, "-m", "hakensum.cli", "resolve", "--scenario",
          str(ROOT / "tests" / "golden" / "seeded_6538.json"),
          "--n", "1000000000000"],
-        cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")},
+        cwd=ROOT, env=ENV,
         preexec_fn=_cap_address_space, capture_output=True, encoding="utf-8",
         timeout=120)
     assert run.returncode == 3 and run.stdout == ""
@@ -73,7 +76,7 @@ def test_huge_sweep_on_a_growing_complex_keeps_the_exit_contract():
          str(ROOT / "tests" / "golden" / "seeded_6538.json"),
          "--from", "999999999998", "--to", "1000000000000",
          "--format", "json"],
-        cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")},
+        cwd=ROOT, env=ENV,
         preexec_fn=_cap_address_space, capture_output=True, encoding="utf-8",
         timeout=120)
     assert run.returncode == 0
@@ -95,7 +98,7 @@ def test_huge_reduce_keeps_the_exit_contract(tmp_path):
     run = subprocess.run(
         [sys.executable, "-m", "hakensum.cli", "reduce", "--scenario",
          str(path)],
-        cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")},
+        cwd=ROOT, env=ENV,
         preexec_fn=_cap_address_space, capture_output=True, encoding="utf-8",
         timeout=120)
     assert run.returncode == 3 and run.stdout == ""
@@ -119,7 +122,7 @@ def test_huge_report_value_keeps_the_exit_contract(tmp_path):
     run = subprocess.run(
         [sys.executable, "-m", "hakensum.cli", "resolve", "--scenario",
          str(path), "--n", str(10 ** 4299)],
-        cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")},
+        cwd=ROOT, env=ENV,
         capture_output=True, encoding="utf-8", timeout=120)
     assert run.returncode in (0, 2, 3)
     assert "Traceback" not in run.stderr
@@ -145,7 +148,7 @@ def test_count_past_the_digit_limit_in_a_message_keeps_the_exit_contract(
         pytest.skip("this Python has no limit on integer digits")
     run = subprocess.run(
         [sys.executable, "-m", "hakensum.cli"] + argv,
-        cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")},
+        cwd=ROOT, env=ENV,
         capture_output=True, encoding="utf-8", timeout=120)
     assert "Traceback" not in run.stderr
     assert run.returncode == 3 and run.stdout == ""

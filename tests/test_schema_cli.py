@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hakensum import (Curve, DualCurveCertificate, IntersectionInventory,
-                      ScenarioError)
+from hakensum import (Curve, DualCurveCertificate, HakenSumError,
+                      IntersectionInventory, ScenarioError)
 from hakensum import cli, schema
 from hakensum.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main
 
@@ -789,33 +790,51 @@ class TestJsonRenderer:
             cli._json({"copies": [10 ** 4300]})
 
 
-SUBCOMMANDS = ("resolve", "trace", "shifts", "certify", "reduce", "sweep",
-               "glue")
 SCENARIOS = (sorted(schema.BUILTIN_SCENARIOS)
              + [str(GOLDEN / name) for name in ("genus_mismatch.json",
                                                  "seeded_6538.json")]
              + ["no-such-file.json"])
+COUNTS = st.one_of(
+    st.integers(-1, 60).map(str),
+    st.sampled_from((str(10 ** 12), str(10 ** 18), "-1", "9" * 4300,
+                     "1" + "0" * 4300)))
+FLAGS = sorted({flag for _, _, flags in cli.SUBCOMMANDS.values()
+                for flag, _ in flags})
+
+
+def _flag_words(draw, flag):
+    return [flag] if flag == "--strict" else [flag, draw(COUNTS)]
 
 
 @st.composite
 def cli_argv(draw):
-    """A subcommand (or an unknown one) with any mix of the CLI's flags.
-    A count is small, or has 4,300 digits (the most the interpreter's
-    default limit parses) or 4,301."""
+    """Mostly a subcommand with the flags it reads, its required ones
+    always; sometimes one foreign flag, an unknown subcommand, a -h or an
+    empty argv.  A count is small, 10**12, 10**18, -1, or has 4,300 digits
+    (the most the interpreter's default limit parses) or 4,301."""
+    shape = draw(st.sampled_from(("call",) * 6
+                                 + ("foreign", "unknown", "help", "empty")))
+    if shape == "empty":
+        return []
+    name = draw(st.sampled_from(sorted(cli.SUBCOMMANDS)))
+    flags = cli.SUBCOMMANDS[name][2]
     groups = [["--scenario", draw(st.sampled_from(SCENARIOS))]]
-    for flag in draw(st.lists(st.sampled_from(("--n", "--level", "--from",
-                                               "--to")), unique=True)):
-        groups.append([flag, draw(st.one_of(
-            st.integers(-5, 60).map(str),
-            st.sampled_from(("9" * 4300, "1" + "0" * 4300))))])
-    if draw(st.booleans()):
-        groups.append(["--strict"])
+    for flag, options in flags:
+        if options.get("required") or draw(st.booleans()):
+            groups.append(_flag_words(draw, flag))
     if draw(st.booleans()):
         groups.append(["--format",
                        draw(st.sampled_from(("text", "json", "xml")))])
-    argv = [draw(st.sampled_from(SUBCOMMANDS))]
+    if shape == "foreign":
+        own = {flag for flag, _ in flags}
+        groups.append(_flag_words(draw, draw(st.sampled_from(
+            [flag for flag in FLAGS if flag not in own]))))
+    argv = ["glue" if shape == "unknown" else name]
     for group in draw(st.permutations(groups)):
         argv += group
+    if shape == "help":
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(("-h", "--help"))))
     return argv
 
 
@@ -823,11 +842,43 @@ class TestExitContract:
     @given(cli_argv())
     @settings(max_examples=150, deadline=None)
     def test_any_argv_ends_in_a_contract_code(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
+        code, _, err = _run_captured(argv)
         assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_INPUT)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+
+def _parse_outcome(parse, argv):
+    """What one parse of ``argv`` gives: its Namespace, its usage message,
+    or its SystemExit code with what it wrote to stdout."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            return ("args", parse(list(argv)))
+        except HakenSumError as exc:
+            return ("error", str(exc))
+        except SystemExit as exc:
+            return ("exit", exc.code, out.getvalue())
+
+
+class TestDispatchedParse:
+    """``main`` parses a named subcommand's words with that subcommand's
+    parser alone; the outcome is the full parser's for every argv."""
+
+    @given(cli_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_parser(self, argv):
+        assert (_parse_outcome(cli._parse, argv)
+                == _parse_outcome(cli.build_parser().parse_args, argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["glue"], ["resolve"], ["resolve", "--"],
+        ["resolve", "--scenario", "x", "--n", "2", "--", "--strict"],
+        ["resolve", "--sc", "x", "--n=2"], ["resolve", "--he"],
+        ["--", "resolve"], ["resolve", "--scenario", "x", "--n", "2", "a b"],
+    ])
+    def test_edge_argv(self, argv):
+        assert (_parse_outcome(cli._parse, argv)
+                == _parse_outcome(cli.build_parser().parse_args, argv))
 
 
 def _run_captured(argv):
@@ -839,6 +890,60 @@ def _run_captured(argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+FUZZ_SOURCES = {
+    **{name: builtin_data(stem[:-len(".json")])
+       for name, stem in schema.BUILTIN_SCENARIOS.items()},
+    **{path.name: json.loads(path.read_text(encoding="utf-8"))
+       for path in sorted(GOLDEN.glob("*.json")) if path.name != "cases.json"},
+}
+# Type swaps: bools and floats for ints, and unhashable values.
+FUZZ_VALUES = (None, True, False, 0, -1, 7, 1.0, 2.5, "", "x", "+", [], [1],
+               [[1]], [{}], {}, {"a": [1]})
+FUZZ_CALLS = (["resolve", "--n", "2"], ["trace"], ["shifts"],
+              ["certify", "--n", "10", "--level", "5"], ["reduce"],
+              ["sweep", "--from", "0", "--to", "4"])
+
+
+def _paths(value, path=()):
+    """The path to every value inside a JSON document, the root first."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_scenario(draw):
+    """A builtin or golden scenario with one to three of its values, at any
+    depth, deleted or swapped for a value of another type."""
+    raw = copy.deepcopy(FUZZ_SOURCES[draw(st.sampled_from(
+        sorted(FUZZ_SOURCES)))])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(raw))[1:]))
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        if draw(st.booleans()):
+            del target[path[-1]]
+        else:
+            target[path[-1]] = copy.deepcopy(draw(st.sampled_from(
+                FUZZ_VALUES)))
+    return raw
+
+
+class TestLoaderFuzz:
+    @given(mutated_scenario(), st.sampled_from(FUZZ_CALLS))
+    @settings(max_examples=300, deadline=None)
+    def test_a_mutated_file_ends_in_a_contract_code(self, tmp_path_factory,
+                                                    raw, call):
+        path = write_scenario(tmp_path_factory.mktemp("fuzz"), raw)
+        code, _, err = _run_captured([call[0], "--scenario", path,
+                                      *call[1:]])
+        assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_INPUT)
+        assert "Traceback" not in err
 
 
 README_TEXT = ["resolve", "--scenario", "cg-pretzel-m5", "--n", "6"]
@@ -905,8 +1010,8 @@ class TestSharedParser:
             if key not in fresh:
                 run = subprocess.run(
                     [sys.executable, "-m", "hakensum.cli", *argv],
-                    cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src"),
-                                   "COLUMNS": "80"},
+                    cwd=ROOT, env=dict(os.environ, COLUMNS="80",
+                                       PYTHONPATH=str(ROOT / "src")),
                     capture_output=True, encoding="utf-8", timeout=60)
                 fresh[key] = (run.returncode, run.stdout, run.stderr)
         assert len(fresh) == 6
