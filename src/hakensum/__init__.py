@@ -6,10 +6,10 @@ from .errors import (CertificateError, DisconnectionError, DomainError,
                      InsufficientCopiesError, MalformedComplexError,
                      RangeError, ScenarioError, UndefinedPeriodError)
 from .gluing import AnnulusGluing, GluedPiece, GluingGraph
-from .reductions import (CanState, Curve, IntersectionInventory, Pack,
-                         RunTrace, Slice, absorb_trivial_seam,
-                         applicable_moves, reduce_parities, remove_trivial,
-                         torus_periodicity, tuna_can_run, tuna_can_step)
+from .reductions import (CanState, IntersectionInventory, Pack, RunTrace,
+                         Slice, absorb_trivial_seam, applicable_moves,
+                         reduce_parities, remove_trivial, torus_periodicity,
+                         tuna_can_run, tuna_can_step)
 from .scenarios import (HandlebodyProof, ProofFailure, Report,
                         casson_gordon_scenario, doubled_handlebody_scenario,
                         handlebody_certificate)

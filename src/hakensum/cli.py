@@ -211,7 +211,7 @@ def cmd_reduce(scenario, args, report):
                              cancelled_pairs=parity.cancelled_pairs)
         inv = parity.inventory
     report.values.update(copies_after=inv.copies,
-                         curves_after=[c.id for c in inv.curves])
+                         curves_after=list(inv.ids))
 
 
 def cmd_sweep(scenario, args, report):
@@ -244,7 +244,7 @@ def cmd_sweep(scenario, args, report):
 
     if scenario.inventory is not None and scenario.inventory.torus_mode:
         did_anything = True
-        period = len(scenario.inventory.curves)
+        period = len(scenario.inventory.ids)
         classes = torus_periodicity(period, sweep_range)
         report.values.update(residue_period=period,
                              residue_classes=[list(c) for c in classes])

@@ -15,7 +15,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from itertools import compress
 
 from .errors import (DisconnectionError, DomainError, GuardViolationError,
                      InsufficientCopiesError, MalformedComplexError,
@@ -24,40 +24,37 @@ from .surfaces import (Patch, PatchComplex, ResolvedSurface, UnionFind,
                        level_components, merged_orientation, resolve)
 
 
-class Curve(NamedTuple):
-    """One intersection curve of the splitting surface with the summand.
-
-    A plain record, like ``Patch``: the inventory holding it checks its
-    parity.
-    """
-
-    id: str
-    essential_on_k: bool = True
-    parity: str | None = None
-
-
 @dataclass(frozen=True)
 class IntersectionInventory:
-    """The list of intersection curves together with the copy count.
+    """The intersection curves of the splitting surface with the summand,
+    as three columns of one entry per curve, and the copy count.
 
-    Every parity is '+', '-' or None, and parities are present on every
-    curve (torus mode) or on none.
+    Curve i is named ``ids[i]``; ``essential[i]`` says whether it is
+    essential on the summand, and ``parities[i]`` is '+', '-' or None,
+    present on every curve (torus mode) or on none.  Each column is a
+    tuple, so an inventory of any size holds a constant number of objects
+    that the garbage collector tracks.
     """
 
-    curves: tuple
+    ids: tuple
+    essential: tuple
+    parities: tuple
     copies: int
 
     def __post_init__(self):
+        k = len(self.ids)
+        if not len(self.essential) == len(self.parities) == k:
+            raise DomainError("the inventory's columns must have one entry "
+                              "per curve")
         # Counting compares by equality and never hashes, so a parity of
         # any type is judged, not raised on.
-        parities = [c.parity for c in self.curves]
+        parities = self.parities
         signed = parities.count("+") + parities.count("-")
-        if (signed != len(parities)
-                and signed + parities.count(None) != len(parities)):
+        if signed != k and signed + parities.count(None) != k:
             raise DomainError("parity must be '+', '-' or None")
-        if len({c.id for c in self.curves}) != len(parities):
+        if len(set(self.ids)) != k:
             raise DomainError("duplicate curve id")
-        if 0 < signed < len(parities):
+        if 0 < signed < k:
             raise DomainError(
                 "parity must be present on every curve or on none")
         if self.copies < 0:
@@ -65,10 +62,13 @@ class IntersectionInventory:
 
     @property
     def torus_mode(self):
-        return bool(self.curves) and self.curves[0].parity is not None
+        return bool(self.parities) and self.parities[0] is not None
 
-    def inessential(self):
-        return tuple(c for c in self.curves if not c.essential_on_k)
+    @property
+    def curves(self):
+        """One (id, essential, parity) row per curve, built on each read;
+        the library reads the columns."""
+        return tuple(zip(self.ids, self.essential, self.parities))
 
 
 def absorb_trivial_seam(pc, seam_id, copies):
@@ -207,24 +207,26 @@ def remove_trivial(inv, pc=None):
     absorbed copy's level span) and the resolution profile of the sum,
     ``before``, is checked to survive in the cleaned sum, ``after``.
     """
-    trivial = inv.inessential()
-    m = len(trivial)
-    if m == 0:
+    if all(inv.essential):
         return RemovalOutcome(inventory=inv, removed=0, complex=pc,
                               before=None, after=None)
+    trivial = tuple(compress(inv.ids, map(operator.not_, inv.essential)))
+    m = len(trivial)
     if inv.copies <= m:
         raise InsufficientCopiesError(
             "cannot absorb {} copies out of {}".format(m, inv.copies))
     cleaned = IntersectionInventory(
-        curves=tuple(c for c in inv.curves if c.essential_on_k),
+        ids=tuple(compress(inv.ids, inv.essential)),
+        essential=(True,) * (len(inv.ids) - m),
+        parities=tuple(compress(inv.parities, inv.essential)),
         copies=inv.copies - m)
 
     new_pc = None
     before = after = None
     if pc is not None:
         new_pc = pc
-        for step, curve in enumerate(trivial):
-            new_pc = absorb_trivial_seam(new_pc, curve.id,
+        for step, seam_id in enumerate(trivial):
+            new_pc = absorb_trivial_seam(new_pc, seam_id,
                                          copies=inv.copies - step)
         before = resolve(pc, inv.copies)
         after = resolve(new_pc, cleaned.copies)
@@ -257,12 +259,11 @@ def reduce_parities(inv):
     """
     if not inv.torus_mode:
         raise DomainError("parity reduction applies only in torus mode")
-    if inv.inessential():
+    if not all(inv.essential):
         raise DomainError("remove inessential curves before reducing "
                           "parities")
-    parities = [c.parity for c in inv.curves]
-    positive = parities.count("+")
-    negative = len(parities) - positive
+    positive = inv.parities.count("+")
+    negative = len(inv.parities) - positive
     if positive == negative:
         raise DisconnectionError(
             "equal numbers of positive and negative curves: the sum "
@@ -280,19 +281,20 @@ def reduce_parities(inv):
 
     # One stack pass: an incoming curve of the opposite parity to the top
     # of the stack cancels against it, and neither survives.  So the
-    # stack only ever holds curves of one parity, ``top``.
-    curves, top = [], None
-    for curve, parity in zip(inv.curves, parities):
-        if parity != top and curves:
-            curves.pop()
+    # stack only ever holds ids of curves of one parity, ``top``.
+    ids, top = [], None
+    for cid, parity in zip(inv.ids, inv.parities):
+        if parity != top and ids:
+            ids.pop()
         else:
-            curves.append(curve)
+            ids.append(cid)
             top = parity
-    if len(curves) != net or [c.parity for c in curves].count("+") != net:
+    if len(ids) != net or top != "+":
         raise AssertionError("parity cancellation lost count")
     return ParityOutcome(
         inventory=IntersectionInventory(
-            curves=tuple(curves), copies=inv.copies - cancelled),
+            ids=tuple(ids), essential=(True,) * net, parities=("+",) * net,
+            copies=inv.copies - cancelled),
         net=net,
         cancelled_pairs=cancelled)
 

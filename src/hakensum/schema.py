@@ -19,7 +19,7 @@ from importlib import resources
 from .disk import DiskPattern
 from .errors import ScenarioError
 from .gluing import AnnulusGluing, GluedPiece, GluingGraph
-from .reductions import Curve, IntersectionInventory
+from .reductions import IntersectionInventory
 from .shifts import BetaArc, SideSystem, SumEulers
 from .surfaces import Patch, PatchComplex, SeamCurve, SurfaceDescriptor
 
@@ -212,20 +212,24 @@ def sides_from_dict(d):
 
 
 def inventory_from_dict(d):
-    # Inventories run to thousands of curves, so a curve's fields are read
-    # inline and ``_field`` runs only on a value of another type, to raise
-    # its message or to accept a subclass.
-    curves = []
-    for c in _objects(d, "curves", "inventory"):
-        cid = c.get("id")
-        if type(cid) is not str:
-            cid = _field(c, "id", "inventory", _STR)
-        essential = c.get("essential_on_k", True)
-        if type(essential) is not bool:
-            essential = _field(c, "essential_on_k", "inventory", _BOOL, True)
-        curves.append(Curve(cid, essential, c.get("parity")))
+    # Inventories run to thousands of curves, so each field is read as one
+    # column and checked as one set of exact types.  Only when a column
+    # holds another type are the curves read again one by one, so that the
+    # first curve's first fault raises its message, or a subclass passes.
+    entries = _objects(d, "curves", "inventory")
+    ids = [c.get("id") for c in entries]
+    essential = [c.get("essential_on_k", True) for c in entries]
+    if not (set(map(type, ids)) <= {str}
+            and set(map(type, essential)) <= {bool}):
+        ids, essential = [], []
+        for c in entries:
+            ids.append(_field(c, "id", "inventory", _STR))
+            essential.append(_field(c, "essential_on_k", "inventory", _BOOL,
+                                    True))
     return IntersectionInventory(
-        curves=tuple(curves), copies=_field(d, "copies", "inventory", _INT))
+        ids=tuple(ids), essential=tuple(essential),
+        parities=tuple([c.get("parity") for c in entries]),
+        copies=_field(d, "copies", "inventory", _INT))
 
 
 def expectations_from_dict(d):

@@ -3,11 +3,23 @@
 import random
 from dataclasses import replace
 
-from hakensum import (BetaArc, CanState, Curve, IntersectionInventory,
-                      Patch, PatchComplex, SeamCurve, SideSystem,
+from hakensum import (BetaArc, CanState, IntersectionInventory, Patch,
+                      PatchComplex, SeamCurve, SideSystem,
                       absorb_trivial_seam)
 from hakensum.errors import InsufficientCopiesError, MalformedComplexError
 from hakensum.gluing import AnnulusGluing, GluedPiece, GluingGraph
+
+
+def inventory(flags, copies, parities=None, ids=None):
+    """The inventory of one curve per entry of ``flags`` (essential on the
+    summand or not), named ``ids`` or c0, c1, ..., with ``parities`` or
+    none."""
+    k = len(flags)
+    return IntersectionInventory(
+        ids=tuple(ids) if ids else tuple("c{}".format(i) for i in range(k)),
+        essential=tuple(flags),
+        parities=tuple(parities) if parities else (None,) * k,
+        copies=copies)
 
 
 def random_patch_complex(rng, max_f=3, max_g=3, max_seams=4,
@@ -107,10 +119,8 @@ def random_complex_with_trivial_seams(rng, trivial_count=1,
         except MalformedComplexError:
             continue
         copies = needed + rng.randint(0, 3)
-        curves = [Curve(id=s.id, essential_on_k=s.id not in trivial_ids)
-                  for s in seams]
-        return pc, IntersectionInventory(curves=tuple(curves),
-                                         copies=copies)
+        return pc, inventory([s.id not in trivial_ids for s in seams],
+                             copies, ids=[s.id for s in seams])
     raise RuntimeError("could not sample an absorbable complex")
 
 
@@ -141,9 +151,7 @@ def random_parity_inventory(rng, max_extra=4):
     parities = ["+"] * positives + ["-"] * negatives
     rng.shuffle(parities)
     copies = negatives + rng.randint(1, 5)
-    curves = tuple(Curve(id="c{}".format(i), parity=p)
-                   for i, p in enumerate(parities))
-    return IntersectionInventory(curves=curves, copies=copies)
+    return inventory([True] * len(parities), copies, parities=parities)
 
 
 def random_can_state(rng, max_curves=6, max_outside=3):

@@ -349,7 +349,8 @@ def cancel_parities_by_rescan(curves):
     """Cancel cyclically adjacent opposite-parity curves, one pair at a
     time, rescanning from the start after every cancellation.
 
-    Returns the surviving curves in their original order.
+    ``curves`` are (id, parity) pairs; returns the surviving pairs in
+    their original order.
     """
     curves = list(curves)
     changed = True
@@ -358,7 +359,7 @@ def cancel_parities_by_rescan(curves):
         k = len(curves)
         for i in range(k):
             j = (i + 1) % k
-            if k >= 2 and curves[i].parity != curves[j].parity:
+            if k >= 2 and curves[i][1] != curves[j][1]:
                 for idx in sorted((i, j), reverse=True):
                     del curves[idx]
                 changed = True

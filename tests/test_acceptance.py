@@ -166,13 +166,13 @@ def test_reduction_laws(seed):
             assert outcome.inventory.copies == inv.copies - trivial_count
         for _ in range(1000):
             inv = random_parity_inventory(rng)
-            plus = sum(1 for c in inv.curves if c.parity == "+")
-            minus = len(inv.curves) - plus
+            plus = sum(1 for parity in inv.parities if parity == "+")
+            minus = len(inv.ids) - plus
             out = reduce_parities(inv)
             assert out.net == plus - minus
-            assert out.cancelled_pairs == (len(inv.curves) - out.net) // 2
-            assert len(out.inventory.curves) == out.net
-            assert all(c.parity == "+" for c in out.inventory.curves)
+            assert out.cancelled_pairs == (len(inv.ids) - out.net) // 2
+            assert len(out.inventory.ids) == out.net
+            assert all(parity == "+" for parity in out.inventory.parities)
         assert time.perf_counter() - started < 10.0
 
 

@@ -1,10 +1,11 @@
 import itertools
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
-from hakensum import (CanState, Curve, DisconnectionError, DomainError,
+from hakensum import (CanState, DisconnectionError, DomainError,
                       GuardViolationError, InsufficientCopiesError,
                       IntersectionInventory, MalformedComplexError, Pack,
                       Patch, PatchComplex, SeamCurve, Slice,
@@ -14,19 +15,11 @@ from hakensum import (CanState, Curve, DisconnectionError, DomainError,
                       tuna_can_step)
 from hakensum.schema import load_builtin
 
-from generators import (random_can_state, random_complex_with_trivial_seams,
+from generators import (inventory, random_can_state,
+                        random_complex_with_trivial_seams,
                         random_parity_inventory)
 from oracles import (cancel_parities_by_rescan, moves_by_listing,
                      residue_classes)
-
-
-def inventory(flags, copies, parities=None):
-    curves = []
-    for i, essential in enumerate(flags):
-        parity = parities[i] if parities else None
-        curves.append(Curve(id="c{}".format(i), essential_on_k=essential,
-                            parity=parity))
-    return IntersectionInventory(curves=tuple(curves), copies=copies)
 
 
 class TestRemoveTrivial:
@@ -34,9 +27,9 @@ class TestRemoveTrivial:
         inv = inventory([True, False, True, False, True], 10)
         out = remove_trivial(inv)
         assert out.removed == 2
-        assert len(out.inventory.curves) == 3
+        assert out.inventory.ids == ("c0", "c2", "c4")
         assert out.inventory.copies == 8
-        assert all(c.essential_on_k for c in out.inventory.curves)
+        assert out.inventory.essential == (True, True, True)
 
     def test_nothing_to_remove_is_identity(self):
         inv = inventory([True, True], 4)
@@ -70,8 +63,7 @@ class TestRemoveTrivial:
         # The demo gains one euler -2 component per copy; its profile
         # holds the count, so a trillion copies list nothing.
         loaded = load_builtin("trivial-removal-demo")
-        inv = IntersectionInventory(curves=loaded.inventory.curves,
-                                    copies=10 ** 12)
+        inv = replace(loaded.inventory, copies=10 ** 12)
         out = remove_trivial(inv, loaded.patch_complex)
         assert out.before.profile == ((-5, 1), (-2, 10 ** 12 - 2), (-1, 1))
         assert out.after.profile == out.before.profile
@@ -93,7 +85,7 @@ class TestRemoveTrivial:
         rng = random.Random(seed + 42)
         for _ in range(40):
             pc, inv = random_complex_with_trivial_seams(rng, 1)
-            sid = inv.inessential()[0].id
+            sid = inv.ids[inv.essential.index(False)]
             accepted = []
             for n in range(2, max(7, inv.copies + 1)):
                 try:
@@ -115,10 +107,7 @@ class TestRemoveTrivial:
         loaded = load_builtin("trivial-removal-demo")
         with pytest.raises(MalformedComplexError, match="'nope'"):
             absorb_trivial_seam(loaded.patch_complex, "nope", 6)
-        inv = IntersectionInventory(
-            curves=(Curve(id="waist"), Curve(id="nope",
-                                             essential_on_k=False)),
-            copies=6)
+        inv = inventory([True, False], 6, ids=["waist", "nope"])
         with pytest.raises(MalformedComplexError, match="'nope'"):
             remove_trivial(inv, loaded.patch_complex)
 
@@ -236,8 +225,8 @@ class TestAbsorbOrder:
             pc, inv = random_complex_with_trivial_seams(rng, 1)
             order = ([("F", p.id) for p in pc.f_patches]
                      + [("C", p.id) for p in pc.g_patches])
-            absorbed = absorb_trivial_seam(pc, inv.inessential()[0].id,
-                                           inv.copies)
+            absorbed = absorb_trivial_seam(
+                pc, inv.ids[inv.essential.index(False)], inv.copies)
             firsts = [min(order.index(tuple(label.split(".", 1)))
                           for label in p.id.split("+"))
                       for p in absorbed.f_patches]
@@ -246,28 +235,38 @@ class TestAbsorbOrder:
 
 
 class TestInventoryChecks:
-    """The inventory checks its curves; a Curve alone checks nothing."""
+    """The inventory checks its columns."""
 
     @pytest.mark.parametrize("parity", ["x", "", ["+"], {"a": 1}, 1, True])
     def test_any_other_parity_is_a_domain_error(self, parity):
-        curves = (Curve("a", parity="+"), Curve("b", parity=parity))
         with pytest.raises(DomainError,
                            match=r"^parity must be '\+', '-' or None$"):
-            IntersectionInventory(curves=curves, copies=1)
+            inventory([True] * 2, 1, parities=["+", parity])
 
     def test_parity_on_every_curve_or_on_none(self):
         with pytest.raises(DomainError, match="on every curve or on none"):
             inventory([True] * 3, 4, parities=["+", None, "-"])
 
     def test_duplicate_id_is_a_domain_error(self):
-        curves = (Curve("a"), Curve("b"), Curve("a"))
         with pytest.raises(DomainError, match="duplicate curve id"):
-            IntersectionInventory(curves=curves, copies=1)
+            inventory([True] * 3, 1, ids=["a", "b", "a"])
+
+    @pytest.mark.parametrize("essential,parities", [
+        ((True,), (None, None)), ((True, True), (None,)),
+        ((True, True, True), (None, None))])
+    def test_columns_of_unequal_length_are_a_domain_error(self, essential,
+                                                          parities):
+        with pytest.raises(DomainError, match="one entry per curve"):
+            IntersectionInventory(ids=("a", "b"), essential=essential,
+                                  parities=parities, copies=1)
+
+    def test_rows_read_the_columns(self):
+        inv = inventory([True, False], 3, parities="+-", ids=["a", "b"])
+        assert inv.curves == (("a", True, "+"), ("b", False, "-"))
 
     def test_bad_parity_is_reported_before_a_duplicate_id(self):
-        curves = (Curve("a", parity="x"), Curve("a", parity="+"))
         with pytest.raises(DomainError, match="or None"):
-            IntersectionInventory(curves=curves, copies=1)
+            inventory([True] * 2, 1, parities=["x", "+"], ids=["a", "a"])
 
 
 class TestReduceParities:
@@ -276,7 +275,8 @@ class TestReduceParities:
         out = reduce_parities(inv)
         assert out.net == 2
         assert out.cancelled_pairs == 1
-        assert [c.parity for c in out.inventory.curves] == ["+", "+"]
+        assert out.inventory.ids == ("c0", "c3")
+        assert out.inventory.parities == ("+", "+")
         assert out.inventory.copies == 9
 
     def test_all_positive_is_identity(self):
@@ -305,14 +305,14 @@ class TestReduceParities:
         rng = random.Random(seed + 43)
         for _ in range(300):
             inv = random_parity_inventory(rng)
-            plus = sum(1 for c in inv.curves if c.parity == "+")
-            minus = len(inv.curves) - plus
+            plus = sum(1 for parity in inv.parities if parity == "+")
+            minus = len(inv.ids) - plus
             out = reduce_parities(inv)
             assert out.net == plus - minus
-            assert out.cancelled_pairs == (len(inv.curves) - out.net) // 2
-            assert len(out.inventory.curves) == out.net
-            assert all(c.parity == "+" for c in out.inventory.curves)
-            assert out.net % 2 == len(inv.curves) % 2
+            assert out.cancelled_pairs == (len(inv.ids) - out.net) // 2
+            assert len(out.inventory.ids) == out.net
+            assert all(parity == "+" for parity in out.inventory.parities)
+            assert out.net % 2 == len(inv.ids) % 2
             assert out.net >= 1
             again = reduce_parities(out.inventory)
             assert again.cancelled_pairs == 0
@@ -322,8 +322,8 @@ class TestReduceParities:
         inv = inventory([True] * len(parities), len(parities) + 1,
                         parities=parities)
         out = reduce_parities(inv)
-        assert (list(out.inventory.curves)
-                == cancel_parities_by_rescan(inv.curves))
+        assert (list(zip(out.inventory.ids, out.inventory.parities))
+                == cancel_parities_by_rescan(zip(inv.ids, inv.parities)))
 
     def test_matches_rescan_oracle_exhaustive(self):
         for length in range(1, 13):

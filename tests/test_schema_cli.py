@@ -1,4 +1,5 @@
 import copy
+import gc
 import io
 import json
 import os
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hakensum import (Curve, DualCurveCertificate, HakenSumError,
-                      IntersectionInventory, ScenarioError)
+from hakensum import (DomainError, DualCurveCertificate, HakenSumError,
+                      ScenarioError)
 from hakensum import cli, schema
 from hakensum.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main
 
+import generators
 from oracles import resolve_by_union_find, walk_dual_curve
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -432,6 +434,60 @@ CURVE_FAULTS = [
      "inventory: missing field 'copies'"),
     ("copies 2.5", {"copies": 2.5, "curves": [{"id": "a"}]},
      "inventory: field 'copies' must be an integer, got 2.5"),
+    # The fault at a later curve, and two faults: the earlier curve's
+    # message wins, and within one curve 'id' comes before
+    # 'essential_on_k'; every curve is read before 'copies', and an entry
+    # that is no object before any curve's fields.
+    ("essential_on_k 1 at the fourth curve",
+     {"copies": 2, "curves": [{"id": "a"}, {"id": "b"}, {"id": "c"},
+                              {"id": "d", "essential_on_k": 1},
+                              {"id": "e"}]},
+     "inventory: field 'essential_on_k' must be a boolean, got 1"),
+    ("id missing at the third curve",
+     {"copies": 2, "curves": [{"id": "a"}, {"id": "b"},
+                              {"essential_on_k": True}]},
+     "inventory: missing field 'id'"),
+    ("essential_on_k then id, in two curves",
+     {"copies": 2, "curves": [{"id": "a", "essential_on_k": "no"},
+                              {"id": 7}]},
+     "inventory: field 'essential_on_k' must be a boolean, got 'no'"),
+    ("id then essential_on_k, in two curves",
+     {"copies": 2, "curves": [{"id": 7},
+                              {"id": "b", "essential_on_k": "no"}]},
+     "inventory: field 'id' must be a string, got 7"),
+    ("id and essential_on_k in one curve",
+     {"copies": 2, "curves": [{"id": "a"},
+                              {"id": None, "essential_on_k": "no"}]},
+     "inventory: field 'id' must be a string, got None"),
+    ("id and copies", {"copies": "x", "curves": [{"id": 5}]},
+     "inventory: field 'id' must be a string, got 5"),
+    ("copies and a bad parity",
+     {"copies": 2.5, "curves": [{"id": "a", "parity": "x"}]},
+     "inventory: field 'copies' must be an integer, got 2.5"),
+    ("a bad parity and a later id",
+     {"copies": 2, "curves": [{"id": "a", "parity": "x"},
+                              {"id": 5, "parity": "+"}]},
+     "inventory: field 'id' must be a string, got 5"),
+    ("id and a later entry not an object",
+     {"copies": 2, "curves": [{"id": 5}, {"id": "b"}, 3]},
+     "inventory: every entry of 'curves' must be an object, got 3"),
+]
+
+# The inventory's own checks, reached through the loader in their order:
+# bad parity, duplicate id, mixed parity, negative copies.
+INVENTORY_CHECK_FAULTS = [
+    ("bad parity and a duplicate id",
+     {"copies": 2, "curves": [{"id": "a", "parity": "+"},
+                              {"id": "a", "parity": ["+"]}]},
+     "parity must be '+', '-' or None"),
+    ("duplicate id and mixed parity",
+     {"copies": 2, "curves": [{"id": "a", "parity": "+"}, {"id": "a"}]},
+     "duplicate curve id"),
+    ("mixed parity and negative copies",
+     {"copies": -1, "curves": [{"id": "a"}, {"id": "b", "parity": "-"}]},
+     "parity must be present on every curve or on none"),
+    ("negative copies", {"copies": -1, "curves": [{"id": "a"}]},
+     "copies must be nonnegative"),
 ]
 
 
@@ -439,11 +495,15 @@ class _Label(str):
     """A str subclass, which a string field accepts as it is."""
 
 
+class _Entry(dict):
+    """A dict subclass, which an object entry accepts as it is."""
+
+
 def _random_inventory(rng):
-    """(the inventory's JSON form, the Curves it describes, its copies)."""
+    """(the inventory's JSON form, the inventory it describes)."""
     k = rng.randint(0, 12)
     signs = rng.choice([None, "+-"])
-    entries, curves = [], []
+    entries, ids, essentials, parities = [], [], [], []
     for i in range(k):
         cid = _Label("c{}".format(i)) if i == 0 else "c{}".format(i)
         entry = {"id": cid}
@@ -454,9 +514,26 @@ def _random_inventory(rng):
         if parity is not None:
             entry["parity"] = parity
         entries.append(entry)
-        curves.append(Curve(id=cid, essential_on_k=essential, parity=parity))
+        ids.append(cid)
+        essentials.append(essential)
+        parities.append(parity)
     copies = rng.randint(0, 9)
-    return {"copies": copies, "curves": entries}, tuple(curves), copies
+    return {"copies": copies, "curves": entries}, generators.inventory(
+        essentials, copies, parities=parities, ids=ids)
+
+
+def _tracked_reachable(root):
+    """How many objects reachable from ``root`` the collector tracks,
+    not counting classes and what only they reach."""
+    seen, stack, tracked = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        tracked += gc.is_tracked(obj)
+        stack.extend(gc.get_referents(obj))
+    return tracked
 
 
 class TestInventoryParser:
@@ -469,17 +546,49 @@ class TestInventoryParser:
                                        "inventory": inventory})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("inventory,message",
+                             [case[1:] for case in INVENTORY_CHECK_FAULTS],
+                             ids=[case[0] for case in INVENTORY_CHECK_FAULTS])
+    def test_inventory_check_message(self, inventory, message):
+        with pytest.raises(DomainError) as info:
+            schema.scenario_from_dict({"version": 1,
+                                       "inventory": inventory})
+        assert str(info.value) == message
+
+    def test_a_loaded_inventory_holds_a_constant_number_of_gc_objects(
+            self, tmp_path):
+        # Every object the collector tracks is walked again by each full
+        # collection, so an inventory must not hold one per curve.
+        raw = {"version": 1, "inventory": {"copies": 1001, "curves": [
+            {"id": "c{}".format(i), "essential_on_k": True,
+             "parity": "-" if i % 5 < 2 else "+"} for i in range(1000)]}}
+        inv = schema.load_scenario(write_scenario(tmp_path, raw)).inventory
+        gc.collect()
+        assert _tracked_reachable(inv) <= 8
+
+    def test_subclassed_id_and_entry_accepted(self):
+        parsed = schema.inventory_from_dict(
+            {"copies": 3, "curves": [{"id": "a"},
+                                     _Entry(id=_Label("b"), parity=None),
+                                     {"id": _Label("c"),
+                                      "essential_on_k": False}]})
+        assert [type(cid) for cid in parsed.ids] == [str, _Label, _Label]
+        assert parsed.ids == ("a", "b", "c")
+        assert parsed.essential == (True, True, False)
+        assert parsed.parities == (None, None, None)
+        assert parsed.copies == 3
+
     def test_parses_to_the_inventory_it_describes(self, seed):
         rng = random.Random(16000 + seed)
         for _ in range(300):
-            raw, curves, copies = _random_inventory(rng)
+            raw, described = _random_inventory(rng)
             parsed = schema.scenario_from_dict(
                 {"version": 1, "inventory": raw}).inventory
-            assert parsed == IntersectionInventory(curves=curves,
-                                                   copies=copies)
-            assert all(type(c) is Curve for c in parsed.curves)
-            assert ([type(c.id) for c in parsed.curves]
-                    == [type(c.id) for c in curves])
+            assert parsed == described
+            for column in (parsed.ids, parsed.essential, parsed.parities):
+                assert type(column) is tuple
+            assert ([type(cid) for cid in parsed.ids]
+                    == [type(cid) for cid in described.ids])
 
 
 class TestReports:
@@ -934,6 +1043,16 @@ def mutated_scenario(draw):
     return raw
 
 
+# Text that no JSON decoder accepts, put in place of one value: an
+# integer literal one digit past the interpreter's limit, bytes that are
+# no UTF-8, and arrays nested past any recursion limit.
+UNDECODABLE = {
+    "digits": b"1" + b"0" * 4300,
+    "utf-8": b'"\xff\xfe"',
+    "nesting": b"[" * 100000 + b"]" * 100000,
+}
+
+
 class TestLoaderFuzz:
     @given(mutated_scenario(), st.sampled_from(FUZZ_CALLS))
     @settings(max_examples=300, deadline=None)
@@ -944,6 +1063,32 @@ class TestLoaderFuzz:
                                       *call[1:]])
         assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_INPUT)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_an_undecodable_file_is_one_error_line(self, tmp_path_factory,
+                                                   kind, data):
+        if kind == "digits" and not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python has no limit on integer digits")
+        raw = copy.deepcopy(FUZZ_SOURCES[data.draw(st.sampled_from(
+            sorted(FUZZ_SOURCES)))])
+        path = data.draw(st.sampled_from(list(_paths(raw))[1:]))
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = "MUTATION"
+        text = json.dumps(raw).encode("utf-8").replace(
+            b'"MUTATION"', UNDECODABLE[kind])
+        file = tmp_path_factory.mktemp("fuzz") / "undecodable.json"
+        file.write_bytes(text)
+        call = data.draw(st.sampled_from(FUZZ_CALLS))
+        code, out, err = _run_captured([call[0], "--scenario", str(file),
+                                        *call[1:]])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: corrupted scenario file {}: ".format(
+            file))
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 README_TEXT = ["resolve", "--scenario", "cg-pretzel-m5", "--n", "6"]
