@@ -319,11 +319,9 @@ def torus_periodicity(period, copy_range):
 class Pack:
     """Move one outside component into a can.
 
-    ``can`` records which can received the material; it does not affect
-    the abstract state, which only counts outside components.
+    The abstract state only counts outside components, so a pack has no
+    parameters.
     """
-
-    can: int = 0
 
 
 @dataclass(frozen=True)
@@ -375,8 +373,6 @@ def tuna_can_step(state, move):
     if isinstance(move, Pack):
         if state.outside_components <= 0:
             raise GuardViolationError("no outside component left to pack")
-        if not 0 <= move.can < len(state.cans):
-            raise GuardViolationError("pack names a missing can")
         new = CanState(cans=state.cans,
                        outside_components=state.outside_components - 1)
     elif isinstance(move, Slice):
@@ -474,40 +470,28 @@ class RunTrace:
     moves: tuple
     slice_count: int
     pack_count: int
-    slice_bound: int
-    pack_bound: int
-
-    @property
-    def within_bound(self):
-        return (self.slice_count <= self.slice_bound
-                and self.pack_count <= self.pack_bound)
 
 
-def tuna_can_run(state, strategy=None):
-    """Run the procedure to exhaustion under a move-picking strategy.
+def tuna_can_run(state):
+    """Run the procedure to exhaustion, taking the first applicable move.
 
-    The strategy gets the state and its lazy ``applicable_moves``
-    sequence; the default takes the first applicable move.  Every run
-    halts: slices are bounded by curves minus the initial can count and
-    packs by the initial outside components (the stated step bound counts
-    the two kinds separately).  With the default strategy a run over k
-    curves builds one move per step, O(k^2 log k) in all; a strategy
-    that indexes at random pays the same per move taken.
+    Every run halts: slices are bounded by curves minus the initial can
+    count and packs by the initial outside components, and a maximal run
+    meets both bounds exactly.  A run over k curves builds one move per
+    step, O(k^2 log k) in all.
     """
-    if strategy is None:
-        strategy = lambda st, moves: moves[0]
-    slice_bound = state.total_curves - len(state.cans)
-    pack_bound = state.outside_components
+    step_bound = (state.total_curves - len(state.cans)
+                  + state.outside_components)
     initial = state
     moves_taken = []
     while True:
         moves = applicable_moves(state)
         if not moves:
             break
-        move = strategy(state, moves)
+        move = moves[0]
         state = tuna_can_step(state, move)
         moves_taken.append(move)
-        if len(moves_taken) > slice_bound + pack_bound:
+        if len(moves_taken) > step_bound:
             raise AssertionError("run exceeded its termination bound")
     slices = sum(1 for m in moves_taken if isinstance(m, Slice))
     packs = len(moves_taken) - slices
@@ -515,5 +499,4 @@ def tuna_can_run(state, strategy=None):
             len(c) != 1 for c in state.cans):
         raise AssertionError("maximal run left an applicable move")
     return RunTrace(initial=initial, final=state, moves=tuple(moves_taken),
-                    slice_count=slices, pack_count=packs,
-                    slice_bound=slice_bound, pack_bound=pack_bound)
+                    slice_count=slices, pack_count=packs)

@@ -156,13 +156,9 @@ def test_count_past_the_digit_limit_in_a_message_keeps_the_exit_contract(
     assert run.stderr.count("\n") == 1
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="an annulus primitive in a genus-0 handlebody "
-                   "is accepted, and the genus drops below 0")
-def test_no_handlebody_proof_of_negative_genus():
+def _assert_no_proof_of_negative_genus(pieces):
     graph = GluingGraph(
-        pieces=(GluedPiece(id="a", kind="handlebody", genus=0),
-                GluedPiece(id="b", kind="handlebody", genus=0)),
+        pieces=pieces,
         gluings=(AnnulusGluing(id="e", pieces=("a", "b"),
                                primitive_in="a"),))
     try:
@@ -170,3 +166,26 @@ def test_no_handlebody_proof_of_negative_genus():
     except HakenSumError:
         return
     assert not proof.succeeded or proof.genus >= 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="an annulus primitive in a genus-0 handlebody "
+                   "is accepted, and the genus drops below 0")
+def test_no_handlebody_proof_of_negative_genus():
+    _assert_no_proof_of_negative_genus(
+        (GluedPiece(id="a", kind="handlebody", genus=0),
+         GluedPiece(id="b", kind="handlebody", genus=0)))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="an annulus primitive in a product over a disk "
+                   "is accepted, and the genus drops below 0")
+@pytest.mark.parametrize("other", [
+    GluedPiece(id="b", kind="product", base_euler=1),
+    GluedPiece(id="b", kind="handlebody", genus=0),
+], ids=["product", "handlebody"])
+def test_no_handlebody_proof_of_negative_genus_through_a_product(other):
+    # The same fault with a product over a disk (euler 1) as the piece
+    # the annulus is primitive in: genus 1 - (1 + 1) = -1.
+    _assert_no_proof_of_negative_genus(
+        (GluedPiece(id="a", kind="product", base_euler=1), other))

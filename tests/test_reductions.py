@@ -377,6 +377,20 @@ class TestTorusPeriodicity:
             assert len(classes) <= period
 
 
+def run_by(state, pick):
+    """A maximal run that takes ``pick(state, applicable_moves(state))``
+    at each step, driven by tuna_can_step: the moves and the final state.
+    """
+    taken = []
+    while True:
+        moves = applicable_moves(state)
+        if not moves:
+            return tuple(taken), state
+        move = pick(state, moves)
+        state = tuna_can_step(state, move)
+        taken.append(move)
+
+
 class TestTunaCan:
     def test_slice_a_two_curve_can(self):
         state = CanState(cans=(frozenset({1, 2}),), outside_components=0)
@@ -388,6 +402,27 @@ class TestTunaCan:
         with pytest.raises(GuardViolationError):
             tuna_can_step(state, Pack())
 
+    @pytest.mark.parametrize("cans, outside, message", [
+        ((frozenset({1}), frozenset()), 0,
+         r"^every can must hold at least one curve$"),
+        ((frozenset({1, 2}), frozenset({2, 3})), 0,
+         r"^curve ids must be globally unique$"),
+        ((frozenset({1}),), -1, r"^outside_components must be nonnegative$"),
+    ], ids=["empty can", "shared curve", "negative outside"])
+    def test_malformed_state_rejected(self, cans, outside, message):
+        with pytest.raises(DomainError, match=message):
+            CanState(cans=cans, outside_components=outside)
+
+    @pytest.mark.parametrize("move, message", [
+        (Slice(can=1, partition=frozenset({1})),
+         r"^slice names a missing can$"),
+        ("pack", r"^unknown move 'pack'$"),
+    ], ids=["slice of a missing can", "not a move"])
+    def test_bad_move_rejected(self, move, message):
+        state = CanState(cans=(frozenset({1, 2}),), outside_components=1)
+        with pytest.raises(GuardViolationError, match=message):
+            tuna_can_step(state, move)
+
     def test_bad_partition_rejected(self):
         state = CanState(cans=(frozenset({1, 2}),), outside_components=0)
         with pytest.raises(GuardViolationError):
@@ -398,9 +433,7 @@ class TestTunaCan:
     def test_five_curve_run(self):
         state = CanState(cans=(frozenset(range(5)),), outside_components=3)
         run = tuna_can_run(state)
-        assert run.slice_count <= 4
-        assert run.pack_count <= 3
-        assert run.within_bound
+        assert (run.slice_count, run.pack_count) == (4, 3)
 
     def test_trivial_state_halts_immediately(self):
         state = CanState(cans=(frozenset({1}),), outside_components=0)
@@ -408,16 +441,20 @@ class TestTunaCan:
         assert run.moves == ()
 
     def test_moves_replay_to_final_state(self, seed):
-        # The run's move list is its only record of the path taken.
+        # The run's move list is its only record of the path taken, and
+        # a random path's moves replay the same way.
         rng = random.Random(seed + 46)
         for _ in range(100):
             state = random_can_state(rng)
-            run = tuna_can_run(state, lambda st, moves: rng.choice(moves))
+            run = tuna_can_run(state)
             assert len(run.moves) == run.slice_count + run.pack_count
-            replayed = run.initial
-            for move in run.moves:
-                replayed = tuna_can_step(replayed, move)
-            assert replayed == run.final
+            assert run.initial == state
+            moves, final = run_by(state, lambda st, m: rng.choice(m))
+            for path, end in ((run.moves, run.final), (moves, final)):
+                replayed = state
+                for move in path:
+                    replayed = tuna_can_step(replayed, move)
+                assert replayed == end
 
     def test_measure_strictly_decreases(self):
         state = CanState(cans=(frozenset({1, 2, 3}),), outside_components=2)
@@ -431,27 +468,35 @@ class TestTunaCan:
         assert all(b < a for a, b in zip(measures, measures[1:]))
 
     def test_random_runs_terminate_within_bound(self, seed):
+        # Every maximal run, whatever its path, makes curves - cans
+        # slices and one pack per outside component.
         rng = random.Random(seed + 45)
         for _ in range(300):
             state = random_can_state(rng)
-            strategy = lambda st, moves: rng.choice(moves)
-            run = tuna_can_run(state, strategy)
-            assert run.within_bound
-            assert run.final.outside_components == 0
-            assert all(len(c) == 1 for c in run.final.cans)
+            counts = (state.total_curves - len(state.cans),
+                      state.outside_components)
+            run = tuna_can_run(state)
+            assert (run.slice_count, run.pack_count) == counts
+            moves, final = run_by(state, lambda st, m: rng.choice(m))
+            slices = sum(isinstance(m, Slice) for m in moves)
+            assert (slices, len(moves) - slices) == counts
+            for end in (run.final, final):
+                assert end.outside_components == 0
+                assert all(len(c) == 1 for c in end.cans)
+                assert set().union(*end.cans) == set().union(*state.cans)
 
     def test_default_and_random_runs_match_the_listing(self, seed):
         # rng.choice draws the same index from the lazy sequence as from
         # the list, so both runs take the same path.
         for trial in range(200):
             state = random_can_state(random.Random(seed * 1000 + trial))
-            assert (tuna_can_run(state).moves
-                    == tuna_can_run(state, lambda st, moves:
-                                    moves_by_listing(st)[0]).moves)
+            run = tuna_can_run(state)
+            assert ((run.moves, run.final)
+                    == run_by(state, lambda st, m: moves_by_listing(st)[0]))
             lazy, listed = random.Random(trial), random.Random(trial)
-            assert (tuna_can_run(state, lambda st, m: lazy.choice(m)).moves
-                    == tuna_can_run(state, lambda st, m: listed.choice(
-                        moves_by_listing(st))).moves)
+            assert (run_by(state, lambda st, m: lazy.choice(m))
+                    == run_by(state, lambda st, m: listed.choice(
+                        moves_by_listing(st))))
 
     def test_move_index_out_of_range(self):
         moves = applicable_moves(

@@ -53,6 +53,11 @@ class TestCassonGordon:
         with pytest.raises(ScenarioError):
             casson_gordon_scenario(3, 1)
 
+    def test_negative_twists_rejected(self):
+        with pytest.raises(ScenarioError,
+                           match=r"^twists must be nonnegative$"):
+            casson_gordon_scenario(5, -1)
+
 
 class TestDoubledHandlebody:
     def test_two_copies(self):
@@ -77,6 +82,11 @@ class TestDoubledHandlebody:
                 r"^copies must be even: the family's expectations are "
                 r"declared only for even copy counts$")):
             doubled_handlebody_scenario(3)
+
+    def test_negative_copies_rejected(self):
+        with pytest.raises(ScenarioError,
+                           match=r"^copies must be nonnegative$"):
+            doubled_handlebody_scenario(-2)
 
     def test_even_sweep(self):
         for copies in range(0, 21, 2):
@@ -135,6 +145,10 @@ def paper_style_graph(copies):
 
 
 class TestHandlebodyCertificate:
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ScenarioError, match=r"^empty gluing graph$"):
+            handlebody_certificate(GluingGraph(pieces=(), gluings=()))
+
     def test_three_piece_graph(self):
         for copies in (2, 4, 10):
             proof = handlebody_certificate(paper_style_graph(copies))

@@ -50,6 +50,11 @@ class TestSchema:
             loaded = schema.load_builtin(name)
             assert loaded.name == name
 
+    def test_unknown_builtin_rejected(self):
+        with pytest.raises(ScenarioError, match=(
+                r"^unknown builtin scenario 'no-such-scenario'$")):
+            schema.load_builtin("no-such-scenario")
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioError):
             schema.scenario_from_dict({"version": 1, "surprise": {}})
@@ -103,6 +108,11 @@ class TestExitCodes:
         path.write_text("{not json", encoding="utf-8")
         code, _ = run_cli("resolve", "--scenario", str(path), "--n", "2")
         assert code == EXIT_INPUT
+
+    def test_file_holding_an_array_is_input_error(self, tmp_path):
+        path = write_scenario(tmp_path, [{"version": 1}])
+        assert _run_captured(["resolve", "--scenario", path, "--n", "2"]) == (
+            EXIT_INPUT, "", "error: scenario file must hold a JSON object\n")
 
     @pytest.mark.parametrize("name,content", [
         ("long-integer", b'{"version": 1, "name": ' + b"9" * 5000 + b"}"),
@@ -378,6 +388,52 @@ TYPE_FAULTS = [
     ("doubled_handlebody", ("gluing_graph", "gluings", 1, "primitive_in"),
      5, ["trace"], "error: gluing_graph.gluing: field 'primitive_in' must "
      "be a string or null, got 5\n"),
+    # Well-typed values that the library's own checks refuse, one for each
+    # refusal the loader or a subcommand reaches.
+    ("doubled_handlebody", ("sides", "euler"), MISSING, CERTIFY,
+     "error: the sides section carries no euler data, so no certificate "
+     "can be checked\n"),
+    ("doubled_handlebody", ("disk_pattern", "copies"), -1, ["trace"],
+     "error: copies must be nonnegative\n"),
+    ("doubled_handlebody", ("disk_pattern", "inner_closed"), -1, ["trace"],
+     "error: inner_closed must be nonnegative\n"),
+    ("doubled_handlebody", ("gluing_graph", "pieces", 0, "genus"), MISSING,
+     ["trace"], "error: piece inner_handlebody: a handlebody needs a "
+     "nonnegative genus\n"),
+    ("doubled_handlebody", ("gluing_graph", "gluings", 1, "primitive_in"),
+     "inner_handlebody", ["trace"], "error: annulus lower_annulus: "
+     "primitive_in must name one of its two pieces\n"),
+    ("doubled_handlebody", ("gluing_graph", "pieces", 2, "id"),
+     "inner_handlebody", ["trace"], "error: duplicate piece id\n"),
+    ("doubled_handlebody", ("gluing_graph", "gluings", 0, "pieces", 1),
+     "nowhere", ["trace"], "error: annulus upper_annulus references "
+     "missing piece 'nowhere'\n"),
+    ("solid_torus_reduced", ("inventory",),
+     {"copies": 1, "curves": [{"id": "c1", "parity": "+"},
+                              {"id": "c2", "parity": "-"},
+                              {"id": "c3", "parity": "+"}]}, ["reduce"],
+     "error: cancelling 1 pairs needs more than 1 copies\n"),
+    ("doubled_handlebody", ("expectations", "genus"), 5, RESOLVE,
+     "error: expectation 'genus' must be an object\n"),
+    ("doubled_handlebody", ("sides", "prime", "betas"), [], ["shifts"],
+     "error: a side system needs at least one arc\n"),
+    ("doubled_handlebody", ("sides", "boundary_count"), -1, ["shifts"],
+     "error: boundary_count must be nonnegative\n"),
+    ("doubled_handlebody",
+     ("patch_complex", "f_descriptor", "boundary_components"), -1, RESOLVE,
+     "error: boundary_components must be nonnegative\n"),
+    ("doubled_handlebody", ("patch_complex", "seams", 0, "level_shift"), 2,
+     RESOLVE, "error: seam alpha: level_shift must be -1, 0 or +1\n"),
+    ("doubled_handlebody", ("patch_complex", "f_patches", 1, "id"),
+     "twist_annulus", RESOLVE, "error: duplicate patch id\n"),
+    ("doubled_handlebody", ("patch_complex", "g_patches", 0, "id"),
+     "twist_annulus", RESOLVE, "error: patch ids must not be shared between "
+     "the two sides\n"),
+    ("doubled_handlebody", ("patch_complex", "seams", 1, "id"), "alpha",
+     RESOLVE, "error: duplicate seam id\n"),
+    ("doubled_handlebody", ("patch_complex", "g_descriptor", "euler"), -2,
+     RESOLVE, "error: G patches sum to euler -4 but the descriptor says "
+     "-2\n"),
 ]
 
 
@@ -650,6 +706,21 @@ class TestReports:
         assert report["shifts_prime"] == [0, 0, 0]
         assert report["shift_lcm"] == 0
         assert report["margin"] == 2
+
+    @pytest.mark.parametrize("disk, boundary", [(True, 2), (False, 0)])
+    def test_shifts_boundary_count_falls_back_to_the_disk_word(
+            self, tmp_path, disk, boundary):
+        # With no sides.boundary_count the disk word's boundary count is
+        # used: 2 for the word '+-', and 0 with no disk_pattern at all.
+        raw = builtin_data("doubled_handlebody")
+        del raw["sides"]["boundary_count"]
+        if not disk:
+            del raw["disk_pattern"]
+        code, out = run_cli("shifts", "--scenario",
+                            write_scenario(tmp_path, raw), "--format", "json")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert (report["boundary_count"], report["margin"]) == (boundary, 2)
 
     def test_certify_zero_side(self):
         code, out = run_cli("certify", "--scenario", "doubled-handlebody",

@@ -40,6 +40,11 @@ class TestShift:
         with pytest.raises(DomainError):
             beta((1, 2))
 
+    def test_bad_side_rejected(self):
+        with pytest.raises(DomainError, match=(
+                r"^side must be 'prime' or 'dblprime'$")):
+            BetaArc("middle", 1, (1,))
+
     def test_reversal_negates_shift(self):
         b = beta((1, 1, -1))
         assert shift(b.reversed()) == -1
@@ -238,18 +243,30 @@ def _example_certificate():
     return essential_certificate(10, 30, profile, prime, dbl, EULERS)
 
 
-# One corruption per law of a dual-curve certificate.
+# One corruption per law of a dual-curve certificate, and the message of
+# the law it breaks.
 CORRUPTIONS = {
-    "start level outside the band": dict(
+    "start level outside the band": (dict(
         level=-2, prime_levels=(-2, 0, 2), dblprime_levels=(-2, 1)),
-    "broken chain": dict(prime_levels=(10, 13, 14)),
-    "crossing word misses the shift": dict(prime_crossings=(1, -1)),
-    "first lift not at the base": dict(prime_levels=(12, 14)),
-    "wrong period": dict(period=8),
-    "terminal outside the band": dict(copies=15),
-    "base level revisited": dict(
-        prime_crossings=(1, -1), prime_shift=0, prime_levels=(10, 10),
-        period=0, dblprime_levels=()),
+        r"^lift level -2 outside \[1, 30\]$"),
+    "broken chain": (dict(prime_levels=(10, 13, 14)),
+                     r"^lift at level 13 does not chain onto level 12$"),
+    "crossing word misses the shift": (
+        dict(prime_crossings=(1, -1)),
+        r"^crossing word does not realise the claimed shift$"),
+    "first lift not at the base": (
+        dict(prime_levels=(12, 14)),
+        r"^lift at level 12 does not chain onto level 10$"),
+    "wrong period": (dict(period=8),
+                     r"^paths end at 16 and 16, expected 18$"),
+    "terminal outside the band": (dict(copies=15),
+                                  r"^terminal level outside the band$"),
+    # Two zero-shift lifts from the base level close up at once, so the
+    # closed curve passes the base level twice.
+    "base level revisited": (dict(
+        prime_crossings=(1, -1), prime_shift=0, prime_levels=(10,),
+        dblprime_crossings=(1, -1), dblprime_shift=0, dblprime_levels=(10,),
+        period=0), r"^dual curve revisits the base level$"),
 }
 
 
@@ -261,8 +278,9 @@ class TestValidatorLaws:
 
     @pytest.mark.parametrize("law", sorted(CORRUPTIONS))
     def test_dual_curve_corruption_rejected(self, law):
-        broken = replace(_example_certificate(), **CORRUPTIONS[law])
-        with pytest.raises(CertificateError):
+        fields, message = CORRUPTIONS[law]
+        broken = replace(_example_certificate(), **fields)
+        with pytest.raises(CertificateError, match=message):
             validate_certificate(broken)
         assert not walk_dual_curve(broken)
 
