@@ -2,7 +2,8 @@
 
 Subcommands load a scenario file, run one of the library operations and
 emit a report as stable plain text or JSON.  Exit codes form a contract:
-0 on success, 2 when a declared expectation is not met, 3 on any input
+0 on success, 2 when a check in the report failed (a declared
+expectation, or ``reduce``'s derived profile check), 3 on any input
 problem (bad flags, unreadable or malformed scenario files, missing
 sections).  Reports for identical inputs are byte-identical: dictionary
 keys are sorted and no timestamps or environment data are included.
@@ -200,7 +201,8 @@ def cmd_reduce(scenario, args, report):
     report.values["inessential_removed"] = outcome.removed
     inv = outcome.inventory
     if outcome.before is not None:
-        # Listed as [count, [every euler]], the report's form of a profile.
+        # The one judge of an absorption: a changed profile is the lemma's
+        # failed conclusion, exit 2.  Listed as [count, [every euler]].
         before, after = (
             [r.component_count, [d["euler"] for d in _component_dicts(r)]]
             for r in (outcome.before, outcome.after))

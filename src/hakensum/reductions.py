@@ -191,7 +191,6 @@ class RemovalOutcome:
 
     inventory: IntersectionInventory
     removed: int
-    complex: PatchComplex | None
     before: ResolvedSurface | None
     after: ResolvedSurface | None
 
@@ -204,12 +203,12 @@ def remove_trivial(inv, pc=None):
     When a patch complex is attached, each inessential curve id must name
     a trivial seam of the complex; the seams are absorbed one by one
     (each absorption also needs the band of remaining copies to hold the
-    absorbed copy's level span) and the resolution profile of the sum,
-    ``before``, is checked to survive in the cleaned sum, ``after``.
+    absorbed copy's level span) and the sum is resolved ``before`` and
+    ``after``, for the caller to compare (``reduce``'s derived check).
     """
     if all(inv.essential):
-        return RemovalOutcome(inventory=inv, removed=0, complex=pc,
-                              before=None, after=None)
+        return RemovalOutcome(inventory=inv, removed=0, before=None,
+                              after=None)
     trivial = tuple(compress(inv.ids, map(operator.not_, inv.essential)))
     m = len(trivial)
     if inv.copies <= m:
@@ -221,7 +220,6 @@ def remove_trivial(inv, pc=None):
         parities=tuple(compress(inv.parities, inv.essential)),
         copies=inv.copies - m)
 
-    new_pc = None
     before = after = None
     if pc is not None:
         new_pc = pc
@@ -230,12 +228,8 @@ def remove_trivial(inv, pc=None):
                                          copies=inv.copies - step)
         before = resolve(pc, inv.copies)
         after = resolve(new_pc, cleaned.copies)
-        if before.profile != after.profile:
-            raise MalformedComplexError(
-                "absorbing {} trivial seams changed the resolution "
-                "profile: {} != {}".format(m, before.profile, after.profile))
-    return RemovalOutcome(inventory=cleaned, removed=m, complex=new_pc,
-                          before=before, after=after)
+    return RemovalOutcome(inventory=cleaned, removed=m, before=before,
+                          after=after)
 
 
 @dataclass(frozen=True)

@@ -241,15 +241,16 @@ class DualCurveCertificate:
 
 
 def validate_certificate(cert):
-    """Re-walk a certificate arc by arc and check its defining laws.
+    """Check a certificate arc by arc against its defining laws.
 
     For a dual-curve certificate: every recorded start level and both
-    terminals lie in [1, copies]; each lift, walked with ``lift_beta``
-    through its crossing word, ends one shift higher; the lifts chain from
-    the base level, and the two paths both end at base + period, closing
-    up; and the base level occurs exactly once as a vertex of the closed
-    curve.  For a zero-side certificate: the Euler inequality is strict.
-    Raises CertificateError on any violation, returns True otherwise.
+    terminals lie in [1, copies]; each lift ends one shift higher, the
+    shift being its crossing word's sum, taken once per path; the lifts
+    chain from the base level, and the two paths both end at base +
+    period, closing up; and the base level occurs exactly once as a
+    vertex of the closed curve.  For a zero-side certificate: the Euler
+    inequality is strict.  Raises CertificateError on any violation,
+    returns True otherwise.
     """
     if isinstance(cert, ZeroSideCertificate):
         if not cert.inequality_holds:
@@ -265,6 +266,7 @@ def validate_certificate(cert):
             raise CertificateError(str(exc)) from None
         if not levels:
             raise CertificateError("a path needs at least one lift")
+        realised = shift(beta)
         seen = []
         at = cert.level
         for start in levels:
@@ -276,7 +278,7 @@ def validate_certificate(cert):
                 raise CertificateError(
                     "lift at level {} does not chain onto level {}".format(
                         start, at))
-            at = lift_beta(beta, start, cert.copies).terminal
+            at = start + realised
             if at != start + step:
                 raise CertificateError("crossing word does not realise "
                                        "the claimed shift")

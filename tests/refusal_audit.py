@@ -5,11 +5,10 @@
 Runs the tier-1 suite in process (``--hypothesis-seed=0``, no cache)
 under a line tracer limited to ``src/hakensum``, then lists every
 ``raise`` of a ``hakensum.errors`` class that never ran.  Exits 1 if
-there is any outside the allowlist below, if an allowlist entry matches
-no raise, or if the suite itself fails.  The tracer makes the suite about
-three times slower.  Only the standard library is used, beside the
-suite's own pytest.  The module is not named ``test_*`` so that pytest
-does not collect it.
+there is any, with no exceptions, or if the suite itself fails.  The
+tracer makes the suite about three times slower.  Only the standard
+library is used, beside the suite's own pytest.  The module is not named
+``test_*`` so that pytest does not collect it.
 """
 
 import ast
@@ -18,14 +17,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hakensum"
-
-# (function, exception class) -> why no tier-1 input can reach it.
-ALLOWED = {
-    ("remove_trivial", "MalformedComplexError"):
-        "the profile check after absorbing trivial seams fails only if "
-        "the absorption or resolution engine is faulty; no input "
-        "reaches it",
-}
 
 
 def error_classes():
@@ -87,24 +78,15 @@ def run_traced():
 
 def main():
     code, ran = run_traced()
-    missed, matched = [], set()
-    for path, line, function, cls in refusals(error_classes()):
-        if (str(path), line) in ran:
-            continue
-        if (function, cls) in ALLOWED:
-            matched.add((function, cls))
-            continue
-        missed.append("{}:{}: {} in {}".format(
-            path.relative_to(ROOT), line, cls, function or "<module>"))
-    stale = sorted(set(ALLOWED) - matched)
+    missed = ["{}:{}: {} in {}".format(path.relative_to(ROOT), line, cls,
+                                      function or "<module>")
+              for path, line, function, cls in refusals(error_classes())
+              if (str(path), line) not in ran]
     for entry in missed:
         print("never raised by tier-1:", entry)
-    for function, cls in stale:
-        print("allowlisted but witnessed or gone: {} in {}".format(
-            cls, function))
     if code:
         print("tier-1 failed under the tracer (pytest exit {})".format(code))
-    return 1 if missed or stale or code else 0
+    return 1 if missed or code else 0
 
 
 if __name__ == "__main__":

@@ -87,8 +87,9 @@ def test_huge_sweep_on_a_growing_complex_keeps_the_exit_contract():
 
 
 def test_huge_reduce_keeps_the_exit_contract(tmp_path):
-    # remove_trivial compares the two profiles as (euler, count) pairs,
-    # so only the report's listing of them meets cli.MAX_LISTED.
+    # remove_trivial resolves both sums in O(runs) and cmd_reduce compares
+    # them, so only the report's listing of the profiles meets
+    # cli.MAX_LISTED.
     raw = json.loads((ROOT / "src" / "hakensum" / "data"
                       / "trivial_removal_demo.json").read_text(
                           encoding="utf-8"))

@@ -53,11 +53,12 @@ class TestRemoveTrivial:
         out = remove_trivial(loaded.inventory, loaded.patch_complex)
         assert out.removed == 1
         assert out.before.profile == out.after.profile
-        assert out.complex is not None
+        absorbed = absorb_trivial_seam(loaded.patch_complex, "puncture",
+                                       loaded.inventory.copies)
         # the summand keeps its euler; the other side absorbs one copy
-        assert out.complex.euler_g == loaded.patch_complex.euler_g
-        assert out.complex.euler_f == (loaded.patch_complex.euler_f
-                                       + loaded.patch_complex.euler_g)
+        assert absorbed.euler_g == loaded.patch_complex.euler_g
+        assert absorbed.euler_f == (loaded.patch_complex.euler_f
+                                    + loaded.patch_complex.euler_g)
 
     def test_profile_is_read_from_the_runs(self):
         # The demo gains one euler -2 component per copy; its profile

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -223,6 +224,20 @@ class TestCertificates:
         with pytest.raises(CertificateError):
             validate_certificate(broken)
         assert not walk_dual_curve(broken)
+
+    def test_large_lcm_costs_the_words_not_the_lifts(self):
+        # One arc per side with shifts 10,007 and 10,009: lcm/r + lcm/s
+        # lifts of about 10,000 crossings each.  Summing each word once
+        # per path takes milliseconds; walking every lift takes seconds.
+        r, s = 10007, 10009
+        prime = SideSystem("prime", (beta((1,) * r),))
+        dbl = SideSystem("dblprime", (beta((1,) * s, side="dblprime"),))
+        profile = compute_thresholds(2, prime, dbl)
+        started = time.process_time()
+        cert = essential_certificate(r * s + 20000, 3 * r * s, profile,
+                                     prime, dbl, EULERS)
+        assert time.process_time() - started < 0.5
+        assert (len(cert.prime_levels), len(cert.dblprime_levels)) == (s, r)
 
     def test_lex_least_pair_chosen(self):
         prime = SideSystem("prime", (beta((1, 1)), beta((1, 1), index=2)))
