@@ -928,6 +928,29 @@ class TestReports:
                           "--from", "1", "--to", "3")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("sections", ["none", "plain-inventory"])
+    @pytest.mark.parametrize("bounds, message", [
+        (("4", "3"), "--from must not exceed --to"),
+        (("0", str(cli.MAX_LISTED)),
+         "the sweep covers {} copy counts, more than the {} a report may "
+         "list".format(cli.MAX_LISTED + 1, cli.MAX_LISTED)),
+        (("1", "3"), "scenario 'hollow' has neither a patch complex nor a "
+                     "torus inventory to sweep"),
+    ], ids=["range", "cap", "nothing"])
+    def test_sweep_with_nothing_to_sweep_refuses_in_order(
+            self, tmp_path, capsys, sections, bounds, message):
+        # The range and the cap are judged before the sections, and an
+        # inventory without parities is no torus inventory.
+        payload = {"version": 1, "name": "hollow"}
+        if sections == "plain-inventory":
+            payload["inventory"] = builtin_data(
+                "trivial_removal_demo")["inventory"]
+        path = write_scenario(tmp_path, payload)
+        code, out = run_cli("sweep", "--scenario", path,
+                            "--from", bounds[0], "--to", bounds[1])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert capsys.readouterr().err == "error: {}\n".format(message)
+
 
 def _json_values():
     """Nested JSON-like values.  A list is drawn as runs: each item repeated
