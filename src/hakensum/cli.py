@@ -224,13 +224,15 @@ def cmd_sweep(scenario, args, report):
         raise HakenSumError(
             "the sweep covers {} copy counts, more than the {} a report "
             "may list".format(count, MAX_LISTED))
-    sweep_range = range(args.n_from, args.n_to + 1)
+    pc, inv = scenario.patch_complex, scenario.inventory
+    torus = inv is not None and inv.torus_mode
+    if pc is None and not torus:
+        raise HakenSumError(
+            "scenario {!r} has neither a patch complex nor a torus "
+            "inventory to sweep".format(scenario.name))
     report.values.update({"from": args.n_from, "to": args.n_to})
-    did_anything = False
 
-    if scenario.patch_complex is not None:
-        did_anything = True
-        pc = scenario.patch_complex
+    if pc is not None:
         rows = []
         for resolved in resolve_range(pc, args.n_from, args.n_to + 1):
             n = resolved.copies
@@ -244,21 +246,15 @@ def cmd_sweep(scenario, args, report):
         report.values.update(progression=rows,
                              conjectured_period=conjectured_period(pc))
 
-    if scenario.inventory is not None and scenario.inventory.torus_mode:
-        did_anything = True
-        period = len(scenario.inventory.ids)
-        classes = torus_periodicity(period, sweep_range)
+    if torus:
+        period = len(inv.ids)
+        classes = torus_periodicity(period, range(args.n_from, args.n_to + 1))
         report.values.update(residue_period=period,
                              residue_classes=[list(c) for c in classes])
         entry = scenario.expectations.get("residue_classes")
         if entry is not None:
             report.check("residue_classes", entry["value"], len(classes),
                          entry["source"])
-
-    if not did_anything:
-        raise HakenSumError(
-            "scenario {!r} has neither a patch complex nor a torus "
-            "inventory to sweep".format(scenario.name))
 
 
 _N = ("--n", dict(type=int, required=True, help="number of parallel copies"))

@@ -5,8 +5,10 @@ inessential on the summand (each removal absorbs one parallel copy into
 the other surface), cancelling opposite-parity curves in the torus case,
 and the packing/slicing procedure that isotopes a sum out of a ball a
 bounded number of steps at a time.  Each rewrite preserves the invariants
-that the resolution engine can observe, and the torus case exposes the
-residue periodicity that caps the number of isotopy classes.
+that the resolution engine can observe.  The torus case partitions copy
+counts into residue classes modulo the curve count; that adding that many
+copies gives an isotopic surface is declared from the paper's torus case,
+and the engine does not compute it.
 """
 
 from __future__ import annotations
@@ -92,10 +94,10 @@ def absorb_trivial_seam(pc, seam_id, copies):
             "seam {}: a trivial seam must interleave the copies "
             "(level_shift +1 or -1)".format(seam_id))
     (fa0, ga0), (fb0, gb0) = seam0.chosen_pairs()
-    g_by_id = {p.id: p for p in pc.g_patches}
+    f_at, g_at, nf = pc.f_position, pc.g_position, len(pc.f_patches)
 
     def is_innermost_disk(pid):
-        return (g_by_id[pid].euler == 1
+        return (pc.g_patches[g_at[pid]].euler == 1
                 and pc.incidences[pid] == [seam_id])
 
     if is_innermost_disk(ga0) and not is_innermost_disk(gb0):
@@ -134,38 +136,36 @@ def absorb_trivial_seam(pc, seam_id, copies):
             "copy spans {} levels), only {} present".format(
                 seam_id, max(2, span + 1), span + 1, copies))
 
+    # F-patch i is node i and the copy of G-patch j is node |F| + j.
     patches = pc.f_patches + pc.g_patches
-    nodes = ([("F", p.id) for p in pc.f_patches]
-             + [("C", p.id) for p in pc.g_patches])
-    index = {node: i for i, node in enumerate(nodes)}
-    uf = UnionFind(len(nodes))
-    uf.union(index["F", fa0], index["C", ga0])
-    uf.union(index["F", fb0], index["C", gb0])
+    uf = UnionFind(len(patches))
+    uf.union(f_at[fa0], nf + g_at[ga0])
+    uf.union(f_at[fb0], nf + g_at[gb0])
     for s in others:
         (fa, ga), (fb, gb) = s.chosen_pairs()
         if s.level_shift == 0:
             # Copies at a non-interleaving seam attach straight to F.
-            uf.union(index["F", fa], index["C", ga])
-            uf.union(index["F", fb], index["C", gb])
+            uf.union(f_at[fa], nf + g_at[ga])
+            uf.union(f_at[fb], nf + g_at[gb])
         else:
-            uf.union(index["C", ga], index["C", gb])
+            uf.union(nf + g_at[ga], nf + g_at[gb])
 
     # Over ascending i the groups enter in first-member order, the order
     # resolve gives its components; a name lists its members by label.
+    labels = (["F.{}".format(p.id) for p in pc.f_patches]
+              + ["C.{}".format(p.id) for p in pc.g_patches])
     groups = {}
-    for i in range(len(nodes)):
+    for i in range(len(patches)):
         groups.setdefault(uf.find(i), []).append(i)
-    rep_name = {}
+    names = {}
     new_f = []
-    for members in groups.values():
-        members.sort(key=nodes.__getitem__)
-        name = "+".join("{}.{}".format(*nodes[m]) for m in members)
+    for root, members in groups.items():
+        members.sort(key=labels.__getitem__)
+        name = names[root] = "+".join(labels[m] for m in members)
         new_f.append(Patch(
             id=name, euler=sum(patches[m].euler for m in members),
             oriented=merged_orientation(patches[m].oriented
                                         for m in members)))
-        for m in members:
-            rep_name[nodes[m]] = name
 
     new_g = []
     for p in pc.g_patches:
@@ -180,8 +180,8 @@ def absorb_trivial_seam(pc, seam_id, copies):
     for s in others:
         f1, g1, f2, g2 = s.quadrants
         new_seams.append(replace(s, quadrants=(
-            rep_name["F", f1], neighbour if g1 == disk else g1,
-            rep_name["F", f2], neighbour if g2 == disk else g2)))
+            names[uf.find(f_at[f1])], neighbour if g1 == disk else g1,
+            names[uf.find(f_at[f2])], neighbour if g2 == disk else g2)))
     return PatchComplex(new_f, new_g, new_seams)
 
 
@@ -294,10 +294,12 @@ def reduce_parities(inv):
 
 
 def torus_periodicity(period, copy_range):
-    """Partition copy counts by residue: adding ``period`` copies of the
-    torus gives an isotopic surface, so a sweep meets at most ``period``
-    isotopy classes.  ``copy_range`` is a ``range`` of consecutive counts,
-    so each class is a range too, ``copy_range[r::period]``.
+    """Partition copy counts by residue modulo ``period``.  The paper's
+    torus case says that adding ``period`` copies of the torus gives an
+    isotopic surface, so that a sweep meets at most ``period`` isotopy
+    classes; that claim is declared, and the engine does not compute it.
+    ``copy_range`` is a ``range`` of consecutive counts, so each class is a
+    range too, ``copy_range[r::period]``.
     """
     if period <= 0:
         raise UndefinedPeriodError(

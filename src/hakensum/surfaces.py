@@ -118,8 +118,10 @@ class PatchComplex:
     The F-side quadrants of every seam must name F-patches and the G-side
     quadrants G-patches; declared seam incidences, when present, must
     agree with the quadrants.  Optional surface descriptors pin the total
-    Euler characteristic of each side.  ``incidences`` maps each patch id
-    to the ids of the seams whose quadrants name it, with multiplicity.
+    Euler characteristic of each side.  ``f_position`` and ``g_position``
+    map each patch id to its index in its side's list, and ``incidences``
+    maps it to the ids of the seams whose quadrants name it, with
+    multiplicity.
     """
 
     def __init__(self, f_patches, g_patches, seams,
@@ -132,28 +134,29 @@ class PatchComplex:
         self._validate()
 
     def _validate(self):
-        f_ids = [p.id for p in self.f_patches]
-        g_ids = [p.id for p in self.g_patches]
-        if len(set(f_ids)) != len(f_ids) or len(set(g_ids)) != len(g_ids):
+        self.f_position = {p.id: i for i, p in enumerate(self.f_patches)}
+        self.g_position = {p.id: j for j, p in enumerate(self.g_patches)}
+        f_at, g_at = self.f_position, self.g_position
+        if (len(f_at) != len(self.f_patches)
+                or len(g_at) != len(self.g_patches)):
             raise MalformedComplexError("duplicate patch id")
-        if set(f_ids) & set(g_ids):
+        if f_at.keys() & g_at.keys():
             raise MalformedComplexError(
                 "patch ids must not be shared between the two sides")
         self.seams_by_id = {s.id: s for s in self.seams}
         if len(self.seams_by_id) != len(self.seams):
             raise MalformedComplexError("duplicate seam id")
 
-        f_set, g_set = set(f_ids), set(g_ids)
-        incidences = self.incidences = {pid: [] for pid in f_ids + g_ids}
+        incidences = self.incidences = {pid: [] for pid in [*f_at, *g_at]}
         for seam in self.seams:
             f1, g1, f2, g2 = seam.quadrants
             for pid in (f1, f2):
-                if pid not in f_set:
+                if pid not in f_at:
                     raise MalformedComplexError(
                         "seam {} references missing F-patch {!r}".format(
                             seam.id, pid))
             for pid in (g1, g2):
-                if pid not in g_set:
+                if pid not in g_at:
                     raise MalformedComplexError(
                         "seam {} references missing G-patch {!r}".format(
                             seam.id, pid))
@@ -370,8 +373,7 @@ class _Levels:
 
     def __init__(self, pc):
         nf = len(pc.f_patches)
-        f_index = {p.id: i for i, p in enumerate(pc.f_patches)}
-        g_index = {p.id: j for j, p in enumerate(pc.g_patches)}
+        f_at, g_at = pc.f_position, pc.g_position
         ng = self.ng = len(pc.g_patches)
         self.plans = {}
         self.euler_f, self.euler_g = pc.euler_f, pc.euler_g
@@ -381,8 +383,8 @@ class _Levels:
         self.rejoin = []  # the F-to-F joins of F + 0G
         for seam in pc.seams:
             (fa, ga), (fb, gb) = seam.chosen_pairs()
-            fa, fb = f_index[fa], f_index[fb]
-            ga, gb = g_index[ga], g_index[gb]
+            fa, fb = f_at[fa], f_at[fb]
+            ga, gb = g_at[ga], g_at[gb]
             self.rejoin.append((fa, fb))
             if seam.level_shift == 0:
                 ties.setdefault(fa, []).append(ga)

@@ -7,10 +7,14 @@ be removed with the fix; the test stays as the fault's regression test.
 
 import json
 import os
-import resource
 import subprocess
 import sys
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import pytest
 
@@ -52,16 +56,25 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def run_capped(*argv, timeout=120):
+    """One ``hakensum.cli`` call in a child process under a 1 GiB address
+    space and a timeout in seconds, past which ``subprocess.TimeoutExpired``
+    is raised; skips where ``resource`` is missing."""
+    if resource is None:
+        pytest.skip("this platform has no resource module")
+    return subprocess.run(
+        [sys.executable, "-m", "hakensum.cli", *argv], cwd=ROOT, env=ENV,
+        preexec_fn=_cap_address_space, capture_output=True, encoding="utf-8",
+        timeout=timeout)
+
+
 def test_huge_copy_count_keeps_the_exit_contract():
     # The resolve printer lists one component per copy on this complex,
     # so past cli.MAX_LISTED components the call is refused up front.
-    run = subprocess.run(
-        [sys.executable, "-m", "hakensum.cli", "resolve", "--scenario",
-         str(ROOT / "tests" / "golden" / "seeded_6538.json"),
-         "--n", "1000000000000"],
-        cwd=ROOT, env=ENV,
-        preexec_fn=_cap_address_space, capture_output=True, encoding="utf-8",
-        timeout=120)
+    run = run_capped(
+        "resolve", "--scenario",
+        str(ROOT / "tests" / "golden" / "seeded_6538.json"),
+        "--n", "1000000000000")
     assert run.returncode == 3 and run.stdout == ""
     assert run.stderr == (
         "error: the sum has 1000000000002 components, more than the "
@@ -71,14 +84,11 @@ def test_huge_copy_count_keeps_the_exit_contract():
 def test_huge_sweep_on_a_growing_complex_keeps_the_exit_contract():
     # The sum keeps its runs, so a row costs the same at any n: only a
     # resolve report lists the components.
-    run = subprocess.run(
-        [sys.executable, "-m", "hakensum.cli", "sweep", "--scenario",
-         str(ROOT / "tests" / "golden" / "seeded_6538.json"),
-         "--from", "999999999998", "--to", "1000000000000",
-         "--format", "json"],
-        cwd=ROOT, env=ENV,
-        preexec_fn=_cap_address_space, capture_output=True, encoding="utf-8",
-        timeout=120)
+    run = run_capped(
+        "sweep", "--scenario",
+        str(ROOT / "tests" / "golden" / "seeded_6538.json"),
+        "--from", "999999999998", "--to", "1000000000000",
+        "--format", "json")
     assert run.returncode == 0
     assert "Traceback" not in run.stderr
     rows = json.loads(run.stdout)["progression"]
@@ -96,12 +106,7 @@ def test_huge_reduce_keeps_the_exit_contract(tmp_path):
     raw["inventory"]["copies"] = 10 ** 12
     path = tmp_path / "huge-inventory.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    run = subprocess.run(
-        [sys.executable, "-m", "hakensum.cli", "reduce", "--scenario",
-         str(path)],
-        cwd=ROOT, env=ENV,
-        preexec_fn=_cap_address_space, capture_output=True, encoding="utf-8",
-        timeout=120)
+    run = run_capped("reduce", "--scenario", str(path))
     assert run.returncode == 3 and run.stdout == ""
     assert run.stderr == (
         "error: the sum has 1000000000000 components, more than the "
@@ -120,11 +125,8 @@ def test_huge_report_value_keeps_the_exit_contract(tmp_path):
             patch["euler"] = -2000
     path = tmp_path / "huge-euler.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    run = subprocess.run(
-        [sys.executable, "-m", "hakensum.cli", "resolve", "--scenario",
-         str(path), "--n", str(10 ** 4299)],
-        cwd=ROOT, env=ENV,
-        capture_output=True, encoding="utf-8", timeout=120)
+    run = run_capped("resolve", "--scenario", str(path),
+                     "--n", str(10 ** 4299))
     assert run.returncode in (0, 2, 3)
     assert "Traceback" not in run.stderr
     if hasattr(sys, "get_int_max_str_digits"):
@@ -147,10 +149,7 @@ def test_count_past_the_digit_limit_in_a_message_keeps_the_exit_contract(
     # ValueError inside the subcommand, not while the report renders.
     if not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this Python has no limit on integer digits")
-    run = subprocess.run(
-        [sys.executable, "-m", "hakensum.cli"] + argv,
-        cwd=ROOT, env=ENV,
-        capture_output=True, encoding="utf-8", timeout=120)
+    run = run_capped(*argv)
     assert "Traceback" not in run.stderr
     assert run.returncode == 3 and run.stdout == ""
     assert run.stderr.startswith("error: cannot print the report: ")

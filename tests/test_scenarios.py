@@ -75,13 +75,16 @@ class TestDoubledHandlebody:
         assert report.passed
         assert genus_check(report).actual == 11
 
-    def test_odd_copies_rejected(self):
-        # The message states why the call is refused, and nothing about
-        # what the family does at an odd count.
-        with pytest.raises(ScenarioError, match=(
-                r"^copies must be even: the family's expectations are "
-                r"declared only for even copy counts$")):
-            doubled_handlebody_scenario(3)
+    def test_odd_copies_skip_the_expectations_as_resolve_does(self):
+        # The file's copy_parity is the one judge of an odd count: the
+        # family checks nothing there, and says so in resolve's words.
+        for copies in (1, 3, 5):
+            _, report = doubled_handlebody_scenario(copies)
+            assert report.checks == []
+            assert report.values["expectations_skipped"] == (
+                "declared only for even copy counts")
+            assert cli_outcome("doubled-handlebody", copies) == (
+                [], report.values["expectations_skipped"])
 
     def test_negative_copies_rejected(self):
         with pytest.raises(ScenarioError,
@@ -95,37 +98,41 @@ class TestDoubledHandlebody:
             assert genus_check(report).actual == 2 * copies + 3
 
 
-def cli_checks(builtin, copies):
+def cli_outcome(builtin, copies):
+    """The checks of ``hakensum resolve`` on a builtin file, and its
+    ``expectations_skipped`` value (None when absent)."""
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(["resolve", "--scenario", builtin, "--n", str(copies),
                      "--format", "json"])
     assert code == 0
-    return [(c["name"], c["expected"], c["actual"], c["source"])
-            for c in json.loads(buf.getvalue())["checks"]]
+    values = json.loads(buf.getvalue())
+    return ([(c["name"], c["expected"], c["actual"], c["source"])
+             for c in values["checks"]], values.get("expectations_skipped"))
 
 
-def family_checks(report):
-    return [(c.name, c.expected, c.actual, c.source) for c in report.checks]
+def family_outcome(report):
+    return ([(c.name, c.expected, c.actual, c.source) for c in report.checks],
+            report.values.get("expectations_skipped"))
 
 
 class TestFamiliesMatchResolve:
     """Each family reports exactly the checks ``hakensum resolve`` makes
-    on its builtin file at the same copy count."""
+    on its builtin file at the same copy count, and skips what it skips."""
 
     def test_pretzel_family(self):
         for twists in range(0, 11):
             _, report = casson_gordon_scenario(5, twists)
             assert report.passed
-            assert family_checks(report) == cli_checks("cg-pretzel-m5",
-                                                       2 * twists)
+            assert family_outcome(report) == cli_outcome("cg-pretzel-m5",
+                                                         2 * twists)
 
     def test_doubled_handlebody_family(self):
-        for copies in range(0, 21, 2):
+        for copies in range(0, 21):
             _, report = doubled_handlebody_scenario(copies)
             assert report.passed
-            assert family_checks(report) == cli_checks("doubled-handlebody",
-                                                       copies)
+            assert family_outcome(report) == cli_outcome(
+                "doubled-handlebody", copies)
 
 
 def paper_style_graph(copies):

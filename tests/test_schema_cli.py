@@ -20,6 +20,7 @@ from hakensum.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main
 
 import generators
 from oracles import resolve_by_union_find, walk_dual_curve
+from test_known_faults import run_capped
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
@@ -1157,6 +1158,18 @@ class TestLoaderFuzz:
                                       *call[1:]])
         assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_INPUT)
         assert "Traceback" not in err
+
+    # A seeded sample of the same files, each in a child process: a
+    # signal (a negative code), a timeout or a traceback fails the case.
+    @given(mutated_scenario(), st.sampled_from(FUZZ_CALLS))
+    @settings(max_examples=20, derandomize=True, database=None,
+              deadline=None)
+    def test_a_mutated_file_in_a_capped_process_ends_in_a_contract_code(
+            self, tmp_path_factory, raw, call):
+        path = write_scenario(tmp_path_factory.mktemp("fuzz"), raw)
+        run = run_capped(call[0], "--scenario", path, *call[1:], timeout=10)
+        assert run.returncode in (EXIT_OK, EXIT_MISMATCH, EXIT_INPUT)
+        assert "Traceback" not in run.stderr
 
     @pytest.mark.parametrize("kind", sorted(UNDECODABLE))
     @given(data=st.data())
